@@ -1,11 +1,12 @@
 // Full-study throughput harness: the shared-scan parallel runner versus
-// the pre-refactor serial loop (per-analyzer observe() + deep-copy
-// retention), on one materialized synthetic series.
+// its serial baseline (FullStudy::run on one thread with prefetch off), on
+// one materialized synthetic series.
 //
-// Measures weeks/sec and per-week ms at 1, half, and all hardware threads,
-// self-checks that every thread setting renders byte-identical results,
-// and emits BENCH_full_study.json (alongside the human-readable table) so
-// the perf trajectory is machine-diffable across PRs.
+// Measures weeks/sec and per-week ms at 1, half, and all hardware threads
+// with prefetch on, self-checks that every setting — the baseline
+// included — renders byte-identical results (exit 1 otherwise), and emits
+// BENCH_full_study.json (alongside the human-readable table) so the perf
+// trajectory is machine-diffable across PRs.
 //
 // Flags: --scale / --weeks / --seed / --no-gaps (bench_common),
 // --reps=<n> best-of-n timing (default 2), --out=<path> for the JSON.
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "engine/diff.h"
 #include "snapshot/series.h"
 #include "util/parallel.h"
 #include "util/table.h"
@@ -51,54 +51,13 @@ std::string render_bundle(const FullStudy& study) {
   return out;
 }
 
-/// The pre-refactor runner, reconstructed as a baseline: one serial
-/// observe() call per analyzer per week, the shared diff, and — the cost
-/// the refactor removed — a full deep copy of every snapshot to retain it
-/// as next week's `prev`.
-double run_serial_baseline(SnapshotSource& series, const Resolver& resolver,
-                           std::size_t burst_min_files, std::string* bundle) {
-  FullStudy study(resolver, burst_min_files);
-  StudyAnalyzer* analyzers[] = {
-      &study.user_profile, &study.participation, &study.census,
-      &study.extensions,   &study.languages,     &study.access_patterns,
-      &study.striping,     &study.growth,        &study.file_age,
-      &study.burstiness,   &study.network,       &study.collaboration,
-  };
-  series.set_columns(kColMaskAll);  // the old runner decoded everything
-
-  const auto start = std::chrono::steady_clock::now();
-  Snapshot prev;
-  bool have_prev = false;
-  std::size_t last_week = 0;
-  series.visit([&](std::size_t week, const Snapshot& snap) {
-    WeekObservation obs;
-    obs.week = week;
-    obs.snap = &snap;
-    obs.prev = have_prev ? &prev : nullptr;
-    obs.gap_before = have_prev && week != last_week + 1;
-    DiffResult diff;
-    if (have_prev && !obs.gap_before) {
-      diff = diff_snapshots(prev.table, snap.table);
-      obs.diff = &diff;
-    }
-    for (StudyAnalyzer* analyzer : analyzers) analyzer->observe(obs);
-    prev.taken_at = snap.taken_at;
-    prev.table = snap.table.clone();  // the old copy_snapshot
-    have_prev = true;
-    last_week = week;
-  });
-  for (StudyAnalyzer* analyzer : analyzers) analyzer->finish();
-  const double elapsed = seconds_since(start);
-  if (bundle) *bundle = render_bundle(study);
-  return elapsed;
-}
-
-double run_parallel(SnapshotSource& series, const Resolver& resolver,
-                    std::size_t burst_min_files, ThreadPool& pool,
-                    std::string* bundle) {
+double run_study_timed(SnapshotSource& series, const Resolver& resolver,
+                       std::size_t burst_min_files, ThreadPool& pool,
+                       bool prefetch, std::string* bundle) {
   FullStudy study(resolver, burst_min_files);
   StudyOptions options;
   options.pool = &pool;
+  options.prefetch = prefetch;
   const auto start = std::chrono::steady_clock::now();
   study.run(series, options);
   const double elapsed = seconds_since(start);
@@ -142,9 +101,10 @@ int main(int argc, char** argv) {
   };
 
   std::string baseline_bundle;
+  ThreadPool serial_pool(1);
   const double baseline_s = best_of([&] {
-    return run_serial_baseline(series, *env.resolver, burst_min,
-                               &baseline_bundle);
+    return run_study_timed(series, *env.resolver, burst_min, serial_pool,
+                           /*prefetch=*/false, &baseline_bundle);
   });
 
   struct Setting {
@@ -152,33 +112,21 @@ int main(int argc, char** argv) {
     double seconds;
   };
   std::vector<Setting> settings;
-  std::string reference_bundle;
   for (const unsigned threads : {1u, half, hw}) {
     ThreadPool pool(threads);
     std::string bundle;
     const double s = best_of([&] {
-      return run_parallel(series, *env.resolver, burst_min, pool, &bundle);
+      return run_study_timed(series, *env.resolver, burst_min, pool,
+                             /*prefetch=*/true, &bundle);
     });
-    if (reference_bundle.empty()) {
-      reference_bundle = bundle;
-    } else if (bundle != reference_bundle) {
+    if (bundle != baseline_bundle) {
       std::fprintf(stderr,
-                   "FAIL: results at %u threads differ from the 1-thread "
-                   "reference\n",
+                   "FAIL: results at %u threads differ from the serial "
+                   "baseline\n",
                    threads);
       return 1;
     }
     settings.push_back(Setting{threads, s});
-  }
-  const bool baseline_parity = baseline_bundle == reference_bundle;
-  if (!baseline_parity) {
-    // The serial loop folds floating point row-by-row, the kernels fold
-    // chunk-by-chunk; renders round, so a mismatch is worth a look but is
-    // not by itself a correctness failure (the hard guarantee is identical
-    // results across thread counts, checked above).
-    std::fprintf(stderr,
-                 "note: baseline render differs from the parallel runner "
-                 "(chunked FP folds)\n");
   }
 
   AsciiTable out({"configuration", "per-week ms", "weeks/s", "speedup"});
@@ -187,15 +135,15 @@ int main(int argc, char** argv) {
                  format_double(dweeks / s, 2),
                  format_double(baseline_s / s, 2) + "x"});
   };
-  row("serial baseline (observe + copy)", baseline_s);
+  row("serial baseline (1 thread, no prefetch)", baseline_s);
   for (const Setting& s : settings) {
     row("parallel runner, " + std::to_string(s.threads) + " thread(s)",
         s.seconds);
   }
   out.print(std::cout);
-  std::printf("\nresults byte-identical across {1, %u, %u} threads; "
-              "baseline parity: %s\n",
-              half, hw, baseline_parity ? "exact" : "rounded");
+  std::printf("\nresults byte-identical to the serial baseline across "
+              "{1, %u, %u} threads\n",
+              half, hw);
 
   const std::string json_path = args.get("out", "BENCH_full_study.json");
   std::ofstream json(json_path);
@@ -207,8 +155,6 @@ int main(int argc, char** argv) {
        << "  \"serial_baseline_week_ms\": " << 1000.0 * baseline_s / dweeks
        << ",\n"
        << "  \"serial_baseline_weeks_per_s\": " << dweeks / baseline_s
-       << ",\n"
-       << "  \"baseline_parity\": " << (baseline_parity ? "true" : "false")
        << ",\n"
        << "  \"parallel\": [\n";
   for (std::size_t i = 0; i < settings.size(); ++i) {

@@ -144,7 +144,6 @@ int measure_study(const std::string& stats_path, const std::string& series_dir,
   FullStudy study(resolver, burst_min);
   StudyOptions options;
   options.pool = &pool;
-  options.streaming = budget > 0;
   options.memory_budget = budget;
   const auto start = std::chrono::steady_clock::now();
   study.run(series, options);

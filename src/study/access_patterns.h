@@ -16,6 +16,10 @@ struct AccessPatternWeek {
   double new_frac = 0, deleted_frac = 0, readonly_frac = 0, updated_frac = 0,
          untouched_frac = 0;
 };
+// Checkpointed as a raw vector image: must stay padding-free.
+template <>
+inline constexpr bool kRawSerializable<AccessPatternWeek> =
+    sizeof(AccessPatternWeek) == sizeof(std::int64_t) + 5 * sizeof(double);
 
 struct AccessPatternsResult {
   std::vector<AccessPatternWeek> weeks;

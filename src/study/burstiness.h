@@ -52,19 +52,12 @@ class BurstinessAnalyzer : public StudyAnalyzer {
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Serial reference path (bench baseline; see DESIGN.md §10).
-  void observe(const WeekObservation& obs) override;
   void finish() override;
 
   const BurstinessResult& result() const { return result_; }
   std::string render() const;
 
  private:
-  void collect(const SnapshotTable& table,
-               const std::vector<std::uint32_t>& rows, bool use_atime,
-               std::int64_t window_start,
-               std::vector<std::vector<double>>& out);
-
   const Resolver& resolver_;
   std::size_t min_files_;
   std::vector<std::vector<double>> write_samples_;  // per domain

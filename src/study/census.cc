@@ -91,52 +91,34 @@ void CensusAnalyzer::merge(const WeekObservation& obs, ScanStateList states) {
   // parallel — this union is the highest-cardinality merge in the study
   // (every row contributes a parent hash) and used to be the scan's
   // serial tail.
-  if (obs.flat_agg) {
-    std::vector<std::span<const std::uint64_t>> spans;
-    spans.reserve(states.size());
-    for (const auto& state : states) {
-      const auto* chunk = static_cast<const CensusChunk*>(state.get());
-      spans.emplace_back(chunk->parent_hashes);
-    }
-    PartitionedU64Set parents;
-    parents.build(spans, obs.pool);
-    struct Tally {
-      std::uint64_t empty = 0;
-      std::uint64_t dirs = 0;
-    };
-    const Tally tally = parallel_reduce<Tally>(
-        states.size(), Tally{},
-        [&](Tally& acc, std::size_t c) {
-          const auto* chunk = static_cast<const CensusChunk*>(states[c].get());
-          acc.dirs += chunk->dir_hashes.size();
-          for (const std::uint64_t h : chunk->dir_hashes) {
-            if (!parents.contains(h)) ++acc.empty;
-          }
-        },
-        [](Tally& into, Tally& from) {
-          into.empty += from.empty;
-          into.dirs += from.dirs;
-        },
-        obs.pool, /*grain=*/1);
-    result_.final_empty_dirs = tally.empty;
-    result_.final_dirs = tally.dirs;
-  } else {
-    U64Set parents(obs.row_count);
-    for (const auto& state : states) {
-      const auto* chunk = static_cast<const CensusChunk*>(state.get());
-      for (const std::uint64_t h : chunk->parent_hashes) parents.insert(h);
-    }
-    std::uint64_t empty = 0, dirs = 0;
-    for (const auto& state : states) {
-      const auto* chunk = static_cast<const CensusChunk*>(state.get());
-      dirs += chunk->dir_hashes.size();
-      for (const std::uint64_t h : chunk->dir_hashes) {
-        if (!parents.contains(h)) ++empty;
-      }
-    }
-    result_.final_empty_dirs = empty;
-    result_.final_dirs = dirs;
+  std::vector<std::span<const std::uint64_t>> spans;
+  spans.reserve(states.size());
+  for (const auto& state : states) {
+    const auto* chunk = static_cast<const CensusChunk*>(state.get());
+    spans.emplace_back(chunk->parent_hashes);
   }
+  PartitionedU64Set parents;
+  parents.build(spans, obs.pool);
+  struct Tally {
+    std::uint64_t empty = 0;
+    std::uint64_t dirs = 0;
+  };
+  const Tally tally = parallel_reduce<Tally>(
+      states.size(), Tally{},
+      [&](Tally& acc, std::size_t c) {
+        const auto* chunk = static_cast<const CensusChunk*>(states[c].get());
+        acc.dirs += chunk->dir_hashes.size();
+        for (const std::uint64_t h : chunk->dir_hashes) {
+          if (!parents.contains(h)) ++acc.empty;
+        }
+      },
+      [](Tally& into, Tally& from) {
+        into.empty += from.empty;
+        into.dirs += from.dirs;
+      },
+      obs.pool, /*grain=*/1);
+  result_.final_empty_dirs = tally.empty;
+  result_.final_dirs = tally.dirs;
   if (obs.incremental) rebuild_live_maps(obs.snap->table);
 
   // Unique-entry census: first-seen resolution in chunk (= row) order,
@@ -171,63 +153,6 @@ void CensusAnalyzer::merge(const WeekObservation& obs, ScanStateList states) {
           ++files_by_user_[static_cast<std::size_t>(cand.user)];
         }
       }
-    }
-  }
-}
-
-void CensusAnalyzer::observe(const WeekObservation& obs) {
-  const SnapshotTable& table = obs.snap->table;
-
-  // Empty-directory census: a directory is empty when no other entry in
-  // the same snapshot names it as parent. Recomputed per snapshot so the
-  // final week's value survives; one hash-set pass.
-  {
-    U64Set parents(table.size());
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      parents.insert(hash_bytes(path_parent(table.path(i))));
-    }
-    std::uint64_t empty = 0, dirs = 0;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      if (!table.is_dir(i)) continue;
-      ++dirs;
-      if (!parents.contains(table.path_hash(i))) ++empty;
-    }
-    result_.final_empty_dirs = empty;
-    result_.final_dirs = dirs;
-  }
-  if (obs.incremental) rebuild_live_maps(table);
-
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (!distinct_.insert(table.path_hash(i))) continue;  // seen before
-    const int project = resolver_.project_of_gid(table.gid(i));
-    const int domain = project < 0
-                           ? -1
-                           : resolver_.plan()
-                                 .projects[static_cast<std::size_t>(project)]
-                                 .domain;
-    const std::uint16_t depth = table.depth(i);
-    result_.max_depth = std::max<std::uint64_t>(result_.max_depth, depth);
-    if (table.is_dir(i)) {
-      ++result_.total_dirs;
-      if (domain >= 0) {
-        ++result_.dirs_by_domain[static_cast<std::size_t>(domain)];
-        dir_depths_by_domain_[static_cast<std::size_t>(domain)].push_back(
-            depth);
-      }
-      if (project >= 0) {
-        auto& best = max_depth_by_project_[static_cast<std::size_t>(project)];
-        best = std::max(best, depth);
-      }
-    } else {
-      ++result_.total_files;
-      if (domain >= 0) {
-        ++result_.files_by_domain[static_cast<std::size_t>(domain)];
-      }
-      if (project >= 0) {
-        ++files_by_project_[static_cast<std::size_t>(project)];
-      }
-      const int user = resolver_.user_of_uid(table.uid(i));
-      if (user >= 0) ++files_by_user_[static_cast<std::size_t>(user)];
     }
   }
 }

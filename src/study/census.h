@@ -64,8 +64,6 @@ class CensusAnalyzer : public StudyAnalyzer {
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Serial reference path (bench baseline; see DESIGN.md §10).
-  void observe(const WeekObservation& obs) override;
   /// Delta port: the unique-entry census consumes only new rows (a matched
   /// row kept its path, so its hash was already claimed), and the per-week
   /// empty-directory census rolls forward two retained reference-count

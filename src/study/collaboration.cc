@@ -12,9 +12,14 @@ void CollaborationAnalyzer::finish() {
   const auto& plan = resolver_.plan();
   const int stf = domain_index("stf");
 
-  // Member lists with Staff projects blanked out.
-  std::vector<std::vector<std::uint32_t>> members =
-      participation_.result().project_members;
+  // Member lists, sized from the plan and built from the observed edges
+  // (complete once the last week merged, whatever the finish order; empty
+  // when participation is not in the roster), with Staff projects blanked
+  // out.
+  std::vector<std::vector<std::uint32_t>> members(plan.projects.size());
+  for (const MembershipEdge& edge : participation_.result().observed) {
+    members[edge.project].push_back(edge.user);
+  }
   std::vector<std::uint32_t> project_domain(plan.projects.size(), 0);
   for (std::size_t p = 0; p < plan.projects.size(); ++p) {
     project_domain[p] = static_cast<std::uint32_t>(plan.projects[p].domain);

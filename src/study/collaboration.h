@@ -3,7 +3,9 @@
 // share of collaborating pairs whose shared projects include that domain.
 // Staff (stf) projects are excluded, as in the paper (liaison staff would
 // dilute the science-collaboration signal). Consumes the participation
-// analyzer's observed membership; place it after participation.
+// analyzer's observed membership edges, which are complete before any
+// finish() runs, so the roster order does not matter; without
+// participation in the roster the results are empty.
 #pragma once
 
 #include <string>

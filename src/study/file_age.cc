@@ -86,29 +86,6 @@ void FileAgeAnalyzer::merge(const WeekObservation& obs, ScanStateList states) {
   }
 }
 
-void FileAgeAnalyzer::observe(const WeekObservation& obs) {
-  const SnapshotTable& table = obs.snap->table;
-  std::int64_t sum = 0;
-  std::vector<std::int64_t> ages;
-  ages.reserve(table.file_count());
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (table.is_dir(i)) continue;
-    const std::int64_t age = age_seconds(table, i);
-    sum += age;
-    ages.push_back(age);
-  }
-  std::sort(ages.begin(), ages.end());
-  FileAgePoint point;
-  point.date = obs.snap->taken_at;
-  point.avg_age_days = mean_age_days(sum, ages.size());
-  point.median_age_days = median_age_days(ages);
-  result_.points.push_back(point);
-  if (obs.incremental) {
-    live_sum_ = sum;
-    live_ages_ = std::move(ages);
-  }
-}
-
 void FileAgeAnalyzer::apply_delta(const WeekObservation& obs,
                                   const WeekDelta& delta) {
   const SnapshotTable& cur = *delta.cur;

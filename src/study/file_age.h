@@ -16,6 +16,10 @@ struct FileAgePoint {
   double avg_age_days = 0;
   double median_age_days = 0;
 };
+// Checkpointed as a raw vector image: must stay padding-free.
+template <>
+inline constexpr bool kRawSerializable<FileAgePoint> =
+    sizeof(FileAgePoint) == sizeof(std::int64_t) + 2 * sizeof(double);
 
 struct FileAgeResult {
   std::vector<FileAgePoint> points;
@@ -37,8 +41,6 @@ class FileAgeAnalyzer : public StudyAnalyzer {
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Serial reference path (bench baseline; see DESIGN.md §10).
-  void observe(const WeekObservation& obs) override;
   /// Delta port: age (atime - mtime) is frozen for untouched rows, so the
   /// week's age population is last week's sorted multiset minus the ages
   /// of deleted/readonly/updated prev rows plus the ages of new/readonly/

@@ -21,8 +21,8 @@ FullStudy::FullStudy(const Resolver& resolver, std::size_t burst_min_files)
       resolver_(resolver) {}
 
 void FullStudy::run(SnapshotSource& source, const StudyOptions& options) {
-  // Order matters for finish(): network and collaboration read the
-  // participation result, so participation precedes them.
+  // Network and collaboration read participation's observed edges, which
+  // are complete once the last week merged, so finish order is free.
   StudyAnalyzer* analyzers[] = {
       &user_profile, &participation, &census,    &extensions,
       &languages,    &access_patterns, &striping, &growth,

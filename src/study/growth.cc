@@ -18,15 +18,33 @@ void GrowthAnalyzer::observe(const WeekObservation& obs) {
   result_.points.push_back(point);
 }
 
+// Field by field: GrowthPoint's bool leaves tail padding, whose bytes a
+// raw image would copy into the checkpoint.
 bool GrowthAnalyzer::save_state(StateWriter& w) const {
-  w.vec(result_.points);
+  w.u64(result_.points.size());
+  for (const GrowthPoint& p : result_.points) {
+    w.i64(p.date);
+    w.u64(p.files);
+    w.u64(p.dirs);
+    w.u8(p.after_gap ? 1 : 0);
+  }
   w.u64(result_.gap_weeks);
   return true;
 }
 
 bool GrowthAnalyzer::load_state(StateReader& r) {
-  std::vector<GrowthPoint> points;
-  if (!r.vec(&points)) return false;
+  // 25 bytes per point: three 8-byte fields and the flag.
+  const std::uint64_t count = r.u64();
+  if (!r.ok() || count > r.remaining() / 25) return false;
+  std::vector<GrowthPoint> points(static_cast<std::size_t>(count));
+  for (GrowthPoint& p : points) {
+    p.date = r.i64();
+    p.files = r.u64();
+    p.dirs = r.u64();
+    const std::uint8_t after_gap = r.u8();
+    if (after_gap > 1) return false;
+    p.after_gap = after_gap == 1;
+  }
   const std::uint64_t gap_weeks = r.u64();
   if (!r.ok()) return false;
   result_.points = std::move(points);

@@ -91,22 +91,6 @@ void LanguagesAnalyzer::merge(const WeekObservation&, ScanStateList states) {
   }
 }
 
-void LanguagesAnalyzer::observe(const WeekObservation& obs) {
-  const SnapshotTable& table = obs.snap->table;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (table.is_dir(i)) continue;
-    if (!distinct_.insert(table.path_hash(i))) continue;
-    const int lang = language_for_extension(path_extension(table.path(i)));
-    if (lang < 0) continue;
-    ++global_[static_cast<std::size_t>(lang)];
-    const int domain = resolver_.domain_of_gid(table.gid(i));
-    if (domain >= 0) {
-      ++result_.by_domain[static_cast<std::size_t>(domain)]
-                         [static_cast<std::size_t>(lang)];
-    }
-  }
-}
-
 void LanguagesAnalyzer::apply_delta(const WeekObservation&,
                                     const WeekDelta& delta) {
   const SnapshotTable& table = *delta.cur;

@@ -5,8 +5,9 @@
 //               network center (radius, center entities);
 //   Fig 19    — per-domain share of the giant component and per-domain
 //               probability of belonging to it.
-// Consumes the ParticipationAnalyzer's observed membership edges; place it
-// after participation in the analyzer list (finish order matters).
+// Consumes the ParticipationAnalyzer's observed membership edges, which are
+// complete before any finish() runs, so the roster order does not matter;
+// without participation in the roster the results are empty.
 #pragma once
 
 #include <map>

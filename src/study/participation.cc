@@ -58,23 +58,6 @@ void ParticipationAnalyzer::merge(const WeekObservation&,
   }
 }
 
-void ParticipationAnalyzer::observe(const WeekObservation& obs) {
-  const SnapshotTable& table = obs.snap->table;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    const int user = resolver_.user_of_uid(table.uid(i));
-    const int project = resolver_.project_of_gid(table.gid(i));
-    if (user < 0 || project < 0) continue;
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(user) << 32) |
-        static_cast<std::uint32_t>(project);
-    if (pairs_.insert(key)) {
-      result_.observed.push_back(
-          MembershipEdge{static_cast<std::uint32_t>(user),
-                         static_cast<std::uint32_t>(project)});
-    }
-  }
-}
-
 void ParticipationAnalyzer::apply_delta(const WeekObservation&,
                                         const WeekDelta& delta) {
   const SnapshotTable& table = *delta.cur;
@@ -110,10 +93,10 @@ bool ParticipationAnalyzer::load_state(StateReader& r) {
 void ParticipationAnalyzer::finish() {
   const auto& plan = resolver_.plan();
   std::vector<std::uint32_t> per_user(plan.users.size(), 0);
-  result_.project_members.assign(plan.projects.size(), {});
+  std::vector<std::uint32_t> per_project(plan.projects.size(), 0);
   for (const MembershipEdge& edge : result_.observed) {
     ++per_user[edge.user];
-    result_.project_members[edge.project].push_back(edge.user);
+    ++per_project[edge.project];
   }
 
   std::vector<double> user_counts, project_counts;
@@ -135,8 +118,8 @@ void ParticipationAnalyzer::finish() {
 
   std::vector<std::vector<double>> by_domain(domain_count());
   double member_total = 0;
-  for (std::size_t p = 0; p < result_.project_members.size(); ++p) {
-    const std::size_t size = result_.project_members[p].size();
+  for (std::size_t p = 0; p < per_project.size(); ++p) {
+    const std::size_t size = per_project[p];
     if (size == 0) continue;
     project_counts.push_back(static_cast<double>(size));
     member_total += static_cast<double>(size);

@@ -28,9 +28,6 @@ struct ParticipationResult {
   double frac_ge8_project_users = 0;    // >= 8 projects
   std::size_t active_users = 0;
   std::size_t active_projects = 0;
-
-  /// Per-project member lists (dense project index -> dense user indices).
-  std::vector<std::vector<std::uint32_t>> project_members;
 };
 
 class ParticipationAnalyzer : public StudyAnalyzer {
@@ -45,8 +42,6 @@ class ParticipationAnalyzer : public StudyAnalyzer {
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Serial reference path (bench baseline; see DESIGN.md §10).
-  void observe(const WeekObservation& obs) override;
   /// Delta port: a (user, project) pair new to the study can only ride on
   /// a row whose uid/gid differ from last week, and POSIX moves ctime on
   /// chown/chgrp — so readonly and untouched rows cannot carry new pairs

@@ -56,8 +56,7 @@ class AnalyzerKernel : public ScanKernel {
   }
   void merge_chunks(ScanStateList states, ThreadPool*) override {
     // Analyzers take the pool through obs_->pool instead — it is the same
-    // pool, and the WeekObservation carries it to the serial (non-scan)
-    // observe() path too.
+    // pool, and the WeekObservation carries it to observe() too.
     analyzer_->merge(*obs_, states);
   }
 
@@ -72,12 +71,12 @@ class AnalyzerKernel : public ScanKernel {
 /// retaining the previous week is a move of this struct — the O(n)
 /// per-week deep copy of the old runner is gone.
 ///
-/// In fused-diff mode the week's partitioned index rides along: it is
-/// built on the visiting thread right after decode, so with prefetch on
-/// the build of week N's index overlaps week N-1's analysis, and by the
-/// time week N becomes `prev` its build side is already up. The index
-/// stores no table pointer (moving this struct relocates `owned`), so the
-/// move is safe.
+/// When any analyzer wants the diff, the week's partitioned index rides
+/// along: it is built on the visiting thread right after decode, so with
+/// prefetch on the build of week N's index overlaps week N-1's analysis,
+/// and by the time week N becomes `prev` its build side is already up. The
+/// index stores no table pointer (moving this struct relocates `owned`),
+/// so the move is safe.
 struct PendingWeek {
   std::size_t week = 0;
   Snapshot owned;
@@ -170,8 +169,9 @@ Status validate_checkpoint(const StudyCheckpoint& ckpt,
 /// merge-time consumers of obs.diff see the complete result.
 class DiffScanKernel : public ScanKernel, public DiffChunkProvider {
  public:
-  /// Arms the kernel for one week (null index = inactive week: no diff).
-  /// Must be called before every scan — it also resets the chunk registry.
+  /// Arms the kernel for one week (null index = inactive week: no diff,
+  /// and the kernel is a no-op in the scan). Must be called before every
+  /// scan — it also resets the chunk registry.
   /// On delta weeks (StudyOptions::incremental) `record_prev` turns on the
   /// prev-row mapping and `dir_index` the directory diff.
   void set_week(const PartitionedPathIndex* index, const SnapshotTable* prev,
@@ -280,8 +280,6 @@ void run_study(SnapshotSource& source,
   if (need_diff) columns |= kDiffColumns;
   source.set_columns(columns);
 
-  const bool fuse = need_diff && options.fuse_diff;
-
   std::vector<AnalyzerKernel> kernels;
   kernels.reserve(analyzers.size());
   for (StudyAnalyzer* analyzer : analyzers) kernels.emplace_back(analyzer);
@@ -290,23 +288,18 @@ void run_study(SnapshotSource& source,
   // in incremental mode — a reduced one for delta weeks that leaves the
   // delta-capable analyzers out of the shared scan entirely. The diff
   // kernel must be first in both: sibling kernels read its per-chunk
-  // output during the scan (see DiffChunkProvider).
+  // output during the scan (see DiffChunkProvider). Weeks whose diff goes
+  // through the spill join before the scan (streamed weeks and their
+  // successors) run the full roster with the diff kernel disarmed.
   std::vector<ScanKernel*> kernel_ptrs;
   std::vector<ScanKernel*> scan_only_kernel_ptrs;
-  // A third roster for weeks whose diff was computed through the spill
-  // join BEFORE the scan (streamed weeks and their successors): every
-  // analyzer, but not the fused diff kernel — obs.diff is already final
-  // and analyzers consume it unfused (obs.diff_chunks stays null).
-  std::vector<ScanKernel*> unfused_kernel_ptrs;
   kernel_ptrs.reserve(kernels.size() + 1);
-  unfused_kernel_ptrs.reserve(kernels.size());
-  if (fuse) {
+  if (need_diff) {
     kernel_ptrs.push_back(&diff_kernel);
     scan_only_kernel_ptrs.push_back(&diff_kernel);
   }
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     kernel_ptrs.push_back(&kernels[i]);
-    unfused_kernel_ptrs.push_back(&kernels[i]);
     if (!analyzers[i]->supports_delta()) {
       scan_only_kernel_ptrs.push_back(&kernels[i]);
     }
@@ -338,8 +331,7 @@ void run_study(SnapshotSource& source,
   // A fully materialized source has nothing to stream, and a checkpointed
   // run fingerprints whole tables, so both force every week resident.
   const bool stable = source.stable_snapshots();
-  bool out_of_core = options.streaming && options.memory_budget > 0 &&
-                     !ckpt_enabled && !stable;
+  bool out_of_core = options.memory_budget > 0 && !ckpt_enabled && !stable;
   namespace fs = std::filesystem;
   std::string spill_dir;
   if (out_of_core && need_diff) {
@@ -501,6 +493,25 @@ void run_study(SnapshotSource& source,
     return true;
   };
 
+  // The one WeekObservation builder. Resident weeks pass their table's
+  // counts; streamed weeks — whose snapshot is an empty shell — pass the
+  // streaming pre-pass's counts and skip the retained-state upkeep, which
+  // cannot be rebuilt from a shell (the next resident week re-baselines:
+  // the delta_active gate in analyze()).
+  auto observe_week = [&](const PendingWeek& cur, std::size_t file_count,
+                          std::size_t dir_count, bool streamed) {
+    WeekObservation obs;
+    obs.week = cur.week;
+    obs.snap = &cur.snap();
+    obs.prev = have_prev ? &prev.snap() : nullptr;
+    obs.gap_before = have_prev && cur.week != last_week + 1;
+    obs.pool = options.pool;
+    obs.incremental = incremental && !streamed;
+    obs.file_count = file_count;
+    obs.dir_count = dir_count;
+    return obs;
+  };
+
   auto analyze = [&](PendingWeek&& cur) {
     if (resume_failed) return;  // draining an abandoned resume traversal
     if (resume_pending) {
@@ -514,17 +525,9 @@ void run_study(SnapshotSource& source,
       resume_failed = true;
       return;
     }
-    WeekObservation obs;
-    obs.week = cur.week;
-    obs.snap = &cur.snap();
-    obs.prev = have_prev ? &prev.snap() : nullptr;
-    obs.gap_before = have_prev && cur.week != last_week + 1;
-    obs.pool = options.pool;
-    obs.flat_agg = options.flat_agg;
-    obs.incremental = incremental;
-    obs.row_count = cur.snap().table.size();
-    obs.file_count = cur.snap().table.file_count();
-    obs.dir_count = cur.snap().table.dir_count();
+    WeekObservation obs =
+        observe_week(cur, cur.snap().table.file_count(),
+                     cur.snap().table.dir_count(), /*streamed=*/false);
 
     DiffResult diff;
     const bool diff_active = need_diff && have_prev && !obs.gap_before;
@@ -537,6 +540,8 @@ void run_study(SnapshotSource& source,
     const bool delta_active =
         incremental && diff_active && !cur.snap().degraded &&
         !prev.snap().degraded && !prev_streamed;
+    // Disarmed unless the fused arm below arms it for this week.
+    diff_kernel.set_week(nullptr, nullptr, nullptr, options.grain, 0);
     if (diff_active && prev_streamed) {
       // The previous week exists only as spill partitions: spill the
       // current (resident) table at the retained side's fan-out and join
@@ -558,33 +563,18 @@ void run_study(SnapshotSource& source,
         // whole study failing.
         obs.gap_before = true;
       }
-    } else if (fuse) {
-      diff_kernel.set_week(diff_active ? prev.index.get() : nullptr,
-                           diff_active ? &prev.snap().table : nullptr,
-                           diff_active ? &diff : nullptr, options.grain,
-                           obs.file_count,
+    } else if (diff_active) {
+      diff_kernel.set_week(prev.index.get(), &prev.snap().table, &diff,
+                           options.grain, obs.file_count,
                            /*record_prev=*/delta_active,
                            delta_active ? prev.dir_index.get() : nullptr);
-      if (diff_active) {
-        obs.diff = &diff;
-        obs.diff_chunks = &diff_kernel;
-      }
-    } else if (diff_active) {
-      DiffOptions diff_options;
-      diff_options.prev_rows = delta_active;
-      diff_options.dirs = delta_active;
-      diff = diff_snapshots(prev.snap().table, cur.snap().table, options.pool,
-                            /*breakdown=*/nullptr, diff_options);
       obs.diff = &diff;
+      obs.diff_chunks = &diff_kernel;
     }
 
     for (AnalyzerKernel& kernel : kernels) kernel.set_observation(&obs);
-    // After a streamed week the fused diff kernel was never armed, so it
-    // must sit the scan out (its chunk registry is stale).
     scan_table(cur.snap().table,
-               delta_active          ? scan_only_kernel_ptrs
-               : prev_streamed && fuse ? unfused_kernel_ptrs
-                                       : kernel_ptrs,
+               delta_active ? scan_only_kernel_ptrs : kernel_ptrs,
                scan_options);
 
     if (delta_active) {
@@ -678,20 +668,7 @@ void run_study(SnapshotSource& source,
     cur.owned.taken_at = stream.taken_at;
     cur.owned.degraded = !sreport.clean();
 
-    WeekObservation obs;
-    obs.week = cur.week;
-    obs.snap = &cur.snap();
-    obs.prev = have_prev ? &prev.snap() : nullptr;
-    obs.gap_before = have_prev && cur.week != last_week + 1;
-    obs.pool = options.pool;
-    obs.flat_agg = options.flat_agg;
-    // Retained delta state cannot be rebuilt from a shell table, so the
-    // upkeep is skipped here; the next resident week re-baselines (the
-    // delta_active gate in analyze()).
-    obs.incremental = false;
-    obs.row_count = rows;
-    obs.file_count = files;
-    obs.dir_count = dirs;
+    WeekObservation obs = observe_week(cur, files, dirs, /*streamed=*/true);
 
     DiffResult diff;
     const bool diff_active = need_diff && have_prev && !obs.gap_before;
@@ -740,14 +717,16 @@ void run_study(SnapshotSource& source,
     }
 
     for (AnalyzerKernel& kernel : kernels) kernel.set_observation(&obs);
+    // The diff (if any) was joined through the spill layer above; the
+    // fused kernel sits the streamed scan out.
+    diff_kernel.set_week(nullptr, nullptr, nullptr, options.grain, 0);
     {
       ScolMorselSource::Options mopts;
       mopts.pool = options.pool;
       mopts.prefetch = options.prefetch;
       mopts.skip = skip;
       ScolMorselSource msource(&reader, std::move(mopts));
-      const Status s = scan_stream(msource, unfused_kernel_ptrs,
-                                   scan_options);
+      const Status s = scan_stream(msource, kernel_ptrs, scan_options);
       if (!s.ok()) {
         // A group that validated in pass A failed in pass B — scratch or
         // mapping-level I/O decay. No analyzer merged (scan_stream aborts
@@ -781,13 +760,13 @@ void run_study(SnapshotSource& source,
            options.memory_budget / 2 / kResidentBytesPerRow;
   };
 
-  // In fused mode every decoded week gets its partitioned index here, on
-  // the visiting thread: the week is the NEXT diff's build side, and with
-  // prefetch on this build overlaps the current week's analysis. (The
-  // mutex hand-off of the prefetch slot sequences the build before any
-  // probe of it.)
+  // When the diff is wanted, every decoded week gets its partitioned index
+  // here, on the visiting thread: the week is the NEXT diff's build side,
+  // and with prefetch on this build overlaps the current week's analysis.
+  // (The mutex hand-off of the prefetch slot sequences the build before
+  // any probe of it.)
   auto attach_index = [&](PendingWeek& pending) {
-    if (fuse) {
+    if (need_diff) {
       pending.index = std::make_unique<PartitionedPathIndex>(
           pending.snap().table, options.pool);
       if (incremental) {

@@ -3,7 +3,7 @@
 // each week is ONE shared parallel scan feeding every analyzer at once:
 // the runner computes the union column projection, pushes it into the
 // source, computes the adjacent-snapshot diff once for all diff-based
-// analyzers — by default as a kernel fused into the same scan, probing a
+// analyzers — as a kernel fused into the same scan, probing a
 // radix-partitioned index built during the decode slot (DESIGN.md §11) —
 // and drives all analyzers' chunk kernels over the table via engine/scan.
 // Decode of week N+1 overlaps analysis of week N (a depth-1 double
@@ -67,11 +67,12 @@ struct WeekObservation {
   const Snapshot* snap = nullptr;
   const Snapshot* prev = nullptr;  // null on the first snapshot
   const DiffResult* diff = nullptr;  // null unless requested & prev exists
-  /// Non-null only while the fused diff kernel is active
-  /// (StudyOptions::fuse_diff): analyzers that consume diff rows inside
-  /// observe_chunk must read their chunk's slice through this — in fused
-  /// mode `diff` is only complete by merge() time. Merge-time readers can
-  /// keep using `diff` unchanged.
+  /// Non-null only while the fused diff kernel is active (resident weeks
+  /// whose previous week was resident too): analyzers that consume diff
+  /// rows inside observe_chunk must read their chunk's slice through this
+  /// — then `diff` is only complete by merge() time. When the diff went
+  /// through the spill join instead, this is null and `diff` is final
+  /// before the scan. Merge-time readers use `diff` either way.
   const DiffChunkProvider* diff_chunks = nullptr;
   /// True when one or more slots between `prev` and `snap` are gaps
   /// (missing or corrupt weeks). The runner does not compute a diff
@@ -83,19 +84,16 @@ struct WeekObservation {
   /// The study's pool (null = process-global), for order-insensitive
   /// parallel sub-steps inside merge() — see ScanKernel::merge_chunks.
   ThreadPool* pool = nullptr;
-  /// Mirror of StudyOptions::flat_agg for analyzers that keep both paths.
-  bool flat_agg = true;
   /// Mirror of StudyOptions::incremental. On scan weeks (re-baselines
   /// included) delta-capable analyzers use it to decide whether to also
   /// (re)build the retained cross-week state their apply_delta needs —
   /// pure scan runs skip that upkeep.
   bool incremental = false;
-  /// Row/file/dir counts of the week's snapshot. On resident weeks these
+  /// File/dir counts of the week's snapshot. On resident weeks these
   /// mirror snap->table; on streamed weeks — where snap->table is an
   /// empty shell and the rows only ever exist one group at a time — the
   /// runner fills them from the streaming pre-pass, so merge-time sizing
   /// (reserves, hash-set capacity hints) never touches the whole table.
-  std::size_t row_count = 0;
   std::size_t file_count = 0;
   std::size_t dir_count = 0;
 };
@@ -117,9 +115,9 @@ struct WeekObservation {
 /// chunk (= row) order at every thread count, so order-dependent logic
 /// (first-seen tracking, floating-point accumulation) is deterministic.
 ///
-/// Analyzers that predate the chunk interface can instead override the
-/// legacy serial hook observe(): the default merge() forwards to it once
-/// per week.
+/// Analyzers with no per-row work (no chunk state) override observe()
+/// instead: the default merge() forwards to it once per week, after the
+/// scan, with obs.diff final.
 class StudyAnalyzer {
  public:
   virtual ~StudyAnalyzer() = default;
@@ -130,7 +128,7 @@ class StudyAnalyzer {
   /// Columns this analyzer reads. The runner ORs the masks of all
   /// analyzers (plus the diff's columns when any analyzer wants the diff)
   /// and pushes the union into the source, so unused columns are never
-  /// decoded. Default: everything — safe for legacy analyzers.
+  /// decoded. Default: everything, which is safe for any analyzer.
   virtual ColumnMask columns_needed() const { return kColMaskAll; }
 
   /// Fresh per-chunk partial state; null (the default) for analyzers with
@@ -153,13 +151,14 @@ class StudyAnalyzer {
   }
 
   /// Fold the week's chunk states (chunk order) and do per-week
-  /// bookkeeping. Default: forwards to the legacy observe() hook.
+  /// bookkeeping. Default: forwards to observe().
   virtual void merge(const WeekObservation& obs, ScanStateList states) {
     (void)states;
     observe(obs);
   }
 
-  /// Legacy serial hook, called by the default merge() once per week.
+  /// Per-week hook for analyzers with no per-row work, called by the
+  /// default merge() once per week.
   virtual void observe(const WeekObservation& obs) { (void)obs; }
 
   /// Analyzers returning true maintain retained cross-week state and can
@@ -259,19 +258,6 @@ struct StudyOptions {
   /// analyzes week N. Analysis order and results are unchanged; off is
   /// useful for debugging and single-threaded profiling.
   bool prefetch = true;
-  /// Compute the weekly diff as a kernel fused into the shared scan: the
-  /// radix-partitioned index over week N is built right after N's decode
-  /// (overlapping week N-1's analysis when prefetch is on), and the probe
-  /// rides the same morsels as the analyzers instead of a separate full
-  /// pass over the current table. Results are bit-identical either way;
-  /// off preserves the standalone diff_snapshots reference path.
-  bool fuse_diff = true;
-  /// Use the flat aggregation layer (DESIGN.md §12): open-addressing count
-  /// maps, the dictionary-encoded extension group-by, and the radix-
-  /// partitioned merge for high-cardinality partials. Rendered results are
-  /// byte-identical either way; off preserves the std::unordered_map
-  /// reference path the determinism suite diffs against.
-  bool flat_agg = true;
   /// Incremental mode (DESIGN.md §13): drive delta-capable analyzers
   /// (supports_delta) off a WeekDelta built from the diff — which then
   /// also carries the prev-row mapping and the directory diff — so their
@@ -295,10 +281,6 @@ struct StudyOptions {
   /// either way. Weeks a checkpoint must fingerprint are forced resident
   /// (the fingerprint folds whole column spans).
   std::size_t memory_budget = 0;
-  /// Master switch for the out-of-core path. Off forces every week
-  /// resident even when a memory_budget is set — the bit-identical
-  /// reference the streaming parity tests diff against.
-  bool streaming = true;
 };
 
 /// Streams `source` through all analyzers. The diff (when any analyzer

@@ -56,20 +56,6 @@ void StripingAnalyzer::merge(const WeekObservation&, ScanStateList states) {
   }
 }
 
-void StripingAnalyzer::observe(const WeekObservation& obs) {
-  const SnapshotTable& table = obs.snap->table;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (table.is_dir(i)) continue;
-    const std::uint32_t stripes = table.stripe_count(i);
-    result_.overall.add(stripes);
-    result_.max_stripe = std::max(result_.max_stripe, stripes);
-    const int domain = resolver_.domain_of_gid(table.gid(i));
-    if (domain >= 0) {
-      result_.by_domain[static_cast<std::size_t>(domain)].add(stripes);
-    }
-  }
-}
-
 void StripingAnalyzer::finish() {
   result_.domains_tuning = 0;
   result_.active_domains = 0;

@@ -33,8 +33,6 @@ class StripingAnalyzer : public StudyAnalyzer {
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Serial reference path (bench baseline; see DESIGN.md §10).
-  void observe(const WeekObservation& obs) override;
   void finish() override;
 
   const StripingResult& result() const { return result_; }

@@ -29,8 +29,6 @@ class UserProfileAnalyzer : public StudyAnalyzer {
                      const ScanMorsel& m) override;
   void merge(const WeekObservation& obs, ScanStateList states) override;
 
-  /// Serial reference path (bench baseline; see DESIGN.md §10).
-  void observe(const WeekObservation& obs) override;
   /// Delta port: a dense user seen for the first time must ride on a row
   /// whose uid differs from last week, and chown moves ctime — so only
   /// touched rows can flip seen_ bits. The per-week unknown-uid total is

@@ -5,7 +5,7 @@
 // permanently !ok() instead of reading out of bounds.
 //
 // Scalars are little-endian (matching the .scol framing); bulk vectors of
-// trivially-copyable elements are raw memcpy. Checkpoints are host-local
+// padding-free elements are raw memcpy. Checkpoints are host-local
 // artifacts — written and resumed on the same machine between crashes —
 // so cross-endian portability is explicitly out of scope, and the format
 // version in the enclosing .sckpt header guards against skew.
@@ -21,6 +21,25 @@
 #include <vector>
 
 namespace spider {
+
+/// Types pod()/vec() may copy as raw bytes. Every byte of the object must
+/// be a value byte: uninitialized padding would land in the checkpoint,
+/// and two runs of the same study would write different files. Integers
+/// qualify by themselves; floating point has no padding but no unique
+/// representation either (-0.0 vs 0.0), so it is admitted by name. A
+/// padding-free aggregate holding floating point opts in with a
+/// specialization whose value is its size check, next to its definition:
+///
+///   template <>
+///   inline constexpr bool kRawSerializable<Point> =
+///       sizeof(Point) == sizeof(std::int64_t) + sizeof(double);
+///
+/// Anything else (a struct with a bool member, say) is written field by
+/// field.
+template <typename T>
+inline constexpr bool kRawSerializable =
+    std::has_unique_object_representations_v<T> ||
+    std::is_floating_point_v<T>;
 
 class StateWriter {
  public:
@@ -50,19 +69,19 @@ class StateWriter {
     bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
 
-  /// Raw image of one trivially-copyable value (fixed size, no prefix).
+  /// Raw image of one padding-free value (fixed size, no prefix).
   template <typename T>
   void pod(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(kRawSerializable<T>, "serialize field by field");
     const std::size_t at = out_->size();
     out_->resize(at + sizeof(T));
     std::memcpy(out_->data() + at, &v, sizeof(T));
   }
 
-  /// Length-prefixed raw image of a trivially-copyable element vector.
+  /// Length-prefixed raw image of a padding-free element vector.
   template <typename T>
   void vec(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(kRawSerializable<T>, "serialize field by field");
     u64(v.size());
     const std::size_t n = v.size() * sizeof(T);
     const std::size_t at = out_->size();
@@ -132,7 +151,7 @@ class StateReader {
 
   template <typename T>
   bool pod(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(kRawSerializable<T>, "serialize field by field");
     if (!take(sizeof(T))) return false;
     std::memcpy(out, in_.data() + pos_ - sizeof(T), sizeof(T));
     return true;
@@ -140,7 +159,7 @@ class StateReader {
 
   template <typename T>
   bool vec(std::vector<T>* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(kRawSerializable<T>, "serialize field by field");
     const std::uint64_t count = u64();
     // Overflow-safe size check before multiplying.
     if (!ok_ || count > remaining() / sizeof(T)) return fail();

@@ -54,7 +54,11 @@ TEST(SnapshotSeriesTest, VisitIsRepeatable) {
 class DirectorySeriesTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(testing::TempDir()) / "spider_series_test";
+    // One directory per test: ctest runs the discovered tests in
+    // parallel, and a shared directory would race.
+    dir_ = fs::path(testing::TempDir()) /
+           (std::string("spider_series_test_") +
+            testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

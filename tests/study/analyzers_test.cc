@@ -9,7 +9,9 @@
 #include "study/file_age.h"
 #include "study/growth.h"
 #include "study/striping.h"
+#include "study/participation.h"
 #include "study/user_profile.h"
+#include "util/serialize.h"
 #include "util/timeutil.h"
 
 namespace spider {
@@ -93,6 +95,58 @@ TEST_F(AnalyzerTest, GrowthCountsFilesAndDirs) {
   EXPECT_EQ(r.points[1].files, 2u);
   EXPECT_DOUBLE_EQ(r.growth_factor, 2.0);
   EXPECT_DOUBLE_EQ(r.final_dir_share, 1.0 / 3.0);
+}
+
+// Checkpoint images copy these element types raw; GrowthPoint's bool
+// leaves padding, so it must not be one of them.
+static_assert(kRawSerializable<AccessPatternWeek>);
+static_assert(kRawSerializable<FileAgePoint>);
+static_assert(kRawSerializable<MembershipEdge>);
+static_assert(!kRawSerializable<GrowthPoint>);
+
+TEST_F(AnalyzerTest, GrowthStateRoundTripsFieldByField) {
+  const ProjectInfo& p = project(0);
+  SnapshotSeries series;
+  series.add(snapshot(0, {dir(p, "d", 10), file(p, "d/a", 10, 10, 10)}));
+  series.add_gap(snapshot(1, {}).taken_at, Status::corruption("test gap"));
+  series.add(snapshot(2, {dir(p, "d", 10), file(p, "d/a", 10, 10, 10),
+                          file(p, "d/b", 20, 20, 20)}));
+  GrowthAnalyzer analyzer;
+  run_study(series, analyzer);
+  std::vector<std::uint8_t> blob;
+  StateWriter w(&blob);
+  ASSERT_TRUE(analyzer.save_state(w));
+  // Count, then date/files/dirs (8 bytes each) and the flag per point,
+  // then gap_weeks: no padding bytes.
+  EXPECT_EQ(blob.size(), 8u + 2u * 25u + 8u);
+
+  GrowthAnalyzer restored;
+  StateReader r(blob);
+  ASSERT_TRUE(restored.load_state(r));
+  EXPECT_TRUE(r.exhausted());
+  const GrowthResult& a = analyzer.result();
+  const GrowthResult& b = restored.result();
+  ASSERT_EQ(b.points.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(b.points[i].date, a.points[i].date);
+    EXPECT_EQ(b.points[i].files, a.points[i].files);
+    EXPECT_EQ(b.points[i].dirs, a.points[i].dirs);
+    EXPECT_EQ(b.points[i].after_gap, a.points[i].after_gap);
+  }
+  EXPECT_TRUE(b.points[1].after_gap);
+  EXPECT_EQ(b.gap_weeks, 1u);
+  std::vector<std::uint8_t> again;
+  StateWriter w2(&again);
+  ASSERT_TRUE(restored.save_state(w2));
+  EXPECT_EQ(again, blob);
+
+  // A flag byte other than 0/1 is a damaged image, not a point.
+  std::vector<std::uint8_t> bad = blob;
+  bad[8 + 24] = 2;
+  GrowthAnalyzer untouched;
+  StateReader bad_reader(bad);
+  EXPECT_FALSE(untouched.load_state(bad_reader));
+  EXPECT_TRUE(untouched.result().points.empty());
 }
 
 TEST_F(AnalyzerTest, FileAgeExactArithmetic) {

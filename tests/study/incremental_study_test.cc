@@ -2,9 +2,9 @@
 // (DESIGN.md §13): with StudyOptions::incremental on, the delta-capable
 // analyzers leave the shared scan and consume the week's diff instead —
 // and every rendered byte must match the full-scan pipeline anyway, across
-// thread counts, prefetch modes, fusion modes, churn rates from zero to
-// half the namespace, gapped series, and salvage-damaged weeks that force
-// a full-scan re-baseline.
+// thread counts, prefetch modes, churn rates from zero to half the
+// namespace, gapped series, and salvage-damaged weeks that force a
+// full-scan re-baseline.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -93,18 +93,6 @@ TEST(IncrementalStudyTest, ChurnSweepMatchesScanPipeline) {
             << "churn=" << churn << " threads=" << threads
             << " prefetch=" << prefetch;
       }
-    }
-
-    // Unfused incremental: the delta comes from the standalone diff call
-    // instead of the fused kernel; results must not move.
-    {
-      ThreadPool pool(7);
-      StudyOptions options;
-      options.pool = &pool;
-      options.incremental = true;
-      options.fuse_diff = false;
-      EXPECT_EQ(run_bundle(series, resolver, options), reference)
-          << "churn=" << churn << " unfused";
     }
     delete generator;
   }

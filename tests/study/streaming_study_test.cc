@@ -148,13 +148,12 @@ FacilityGenerator* StreamingStudyTest::generator_ = nullptr;
 Resolver* StreamingStudyTest::resolver_ = nullptr;
 
 TEST_F(StreamingStudyTest, AllWeeksStreamedMatchResidentAcrossWidths) {
-  // Resident reference: the master switch off makes the budget inert.
+  // Resident reference: no budget decodes every week resident.
   ThreadPool one(1);
   StudyOptions ref;
   ref.pool = &one;
   ref.prefetch = false;
-  ref.memory_budget = 1;
-  ref.streaming = false;
+  ref.memory_budget = 0;
   const std::string reference = run_bundle(dir_->path(), *resolver_, ref);
   ASSERT_GT(reference.size(), 1000u);
 
@@ -290,7 +289,6 @@ class RecordingAnalyzer : public StudyAnalyzer {
 
   void observe(const WeekObservation& obs) override {
     std::string line = "week=" + std::to_string(obs.week);
-    line += " rows=" + std::to_string(obs.row_count);
     line += " files=" + std::to_string(obs.file_count);
     line += " dirs=" + std::to_string(obs.dir_count);
     line += " gap=" + std::to_string(obs.gap_before);
@@ -382,8 +380,7 @@ TEST(StreamingStudyBoundaryTest, AlternatingResidencyMatchesResident) {
     StudyOptions options;
     options.pool = &pool;
     options.grain = kTestGrain;
-    options.memory_budget = budget;
-    options.streaming = streaming;
+    options.memory_budget = streaming ? budget : 0;
     run_study(series, *probe, options);
   };
 
