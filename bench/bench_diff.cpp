@@ -1,10 +1,9 @@
-// Diff join strategy benchmark: the radix-partitioned join (DESIGN.md §11)
-// and the tuned hash/sort-merge strategies versus the PRE-REWRITE
-// diff_snapshots, vendored below as `legacy` so the baseline doesn't move
-// when the library improves.
+// Diff join benchmark: diff_snapshots, the radix-partitioned join
+// (DESIGN.md §11), versus the PRE-REWRITE diff_snapshots, vendored below as
+// `legacy` so the baseline doesn't move when the library improves.
 //
 // For each of two scale factors the harness generates one adjacent weekly
-// snapshot pair and times build / probe / sweep per strategy at several
+// snapshot pair and times build / probe / sweep of both joins at several
 // thread counts, best-of --reps. One diff = one week of the study's join
 // work, so `total ms` is exactly the diff time-per-week. Every run is
 // checked byte-identical against the legacy 1-thread reference before any
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "engine/diff.h"
-#include "engine/hash_index.h"
 #include "snapshot/series.h"
 #include "synth/generator.h"
 #include "util/cli.h"
@@ -40,11 +38,11 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The seed's PathIndex, frozen: 4-byte row slots (row + 1, 0 = empty), no
-/// in-slot fingerprint, so every occupied candidate is confirmed through a
-/// random read of the hash column. The library's PathIndex has since
-/// gained fingerprint slots, prefetch, and a subset mode — the baseline
-/// must not inherit any of that.
+/// The seed's path index, frozen: 4-byte row slots (row + 1, 0 = empty),
+/// no in-slot fingerprint, so every occupied candidate is confirmed
+/// through a random read of the hash column. The library's indexes have
+/// since gained fingerprint slots, partitioning and a Bloom pre-filter —
+/// the baseline must not inherit any of that.
 class LegacySeedPathIndex {
  public:
   static constexpr std::uint32_t kNotFound = 0xffff'ffffu;
@@ -193,8 +191,8 @@ struct Timing {
   bool identical = true;
 };
 
-/// Best-of-reps timing of one strategy; every rep's result is checked
-/// against the reference.
+/// Best-of-reps timing of one join; every rep's result is checked against
+/// the reference.
 template <typename Fn>
 Timing time_strategy(int reps, const DiffResult& reference, Fn&& fn) {
   Timing best;
@@ -235,7 +233,7 @@ int main(int argc, char** argv) {
   const int reps = std::max(1, static_cast<int>(args.get_int("reps", 3)));
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
-  std::printf("== Diff join strategies — radix-partitioned vs legacy ==\n");
+  std::printf("== Diff join — radix-partitioned vs legacy ==\n");
   std::printf(
       "one adjacent weekly pair per scale; total ms = diff time-per-week; "
       "best of %d rep(s)\n\n",
@@ -277,7 +275,7 @@ int main(int argc, char** argv) {
     report.prev_files = prev.file_count();
     report.cur_files = cur.file_count();
 
-    // The bit-identity yardstick for every strategy at every thread count.
+    // The bit-identity yardstick for both joins at every thread count.
     ThreadPool one(1);
     DiffBreakdown ref_phases;
     const DiffResult reference =
@@ -302,24 +300,9 @@ int main(int argc, char** argv) {
           });
       setting.strategies.push_back({"legacy", legacy});
 
-      const Timing hash =
-          time_strategy(reps, reference, [&](DiffBreakdown* phases) {
-            return diff_snapshots(prev, cur, &pool, phases);
-          });
-      setting.strategies.push_back({"hash", hash});
-
-      if (threads == 1) {
-        // Sort-merge is serial; one setting is enough.
-        const Timing sortmerge =
-            time_strategy(reps, reference, [&](DiffBreakdown* phases) {
-              return diff_snapshots_sortmerge(prev, cur, phases);
-            });
-        setting.strategies.push_back({"sortmerge", sortmerge});
-      }
-
       const Timing partitioned =
           time_strategy(reps, reference, [&](DiffBreakdown* phases) {
-            return diff_snapshots_partitioned(prev, cur, &pool, phases);
+            return diff_snapshots(prev, cur, &pool, phases);
           });
       setting.strategies.push_back({"partitioned", partitioned});
 
@@ -336,7 +319,7 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
     std::printf("bit-identity self-check: %s\n\n",
-                report.identical ? "ok (all strategies, all thread counts)"
+                report.identical ? "ok (both joins, all thread counts)"
                                  : "FAILED");
     reports.push_back(std::move(report));
     if (!reports.back().identical) return 1;

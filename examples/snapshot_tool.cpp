@@ -12,7 +12,6 @@
 //   snapshot_tool verify --dir=/tmp/series   (or --in=snap.scol)
 //   snapshot_tool checkpoint --in=study.sckpt
 //   snapshot_tool diff <prev.scol> <cur.scol>
-//                 [--strategy=hash|sortmerge|partitioned]
 //
 // Salvage flags (convert/inspect/purgelist): --salvage=skip|quarantine
 // decodes damaged .scol files by dropping corrupt row groups;
@@ -372,9 +371,7 @@ bool verify_one(const std::string& file, std::string* line) {
 }
 
 /// The Fig 13 classifier between two snapshot files: counts and fractions
-/// of the five access classes. --strategy cross-checks the join
-/// implementations in the field (see README "join strategies"); all three
-/// produce identical results, so a mismatch means a damaged input.
+/// of the five access classes, computed by the study's own join.
 int cmd_diff(const CliArgs& args) {
   if (args.positional().size() < 3) {
     std::cerr << "diff requires two inputs: snapshot_tool diff <prev> <cur>\n";
@@ -382,18 +379,6 @@ int cmd_diff(const CliArgs& args) {
   }
   const std::string& prev_file = args.positional()[1];
   const std::string& cur_file = args.positional()[2];
-  const std::string name = args.get("strategy", "partitioned");
-  DiffStrategy strategy;
-  if (name == "hash") {
-    strategy = DiffStrategy::kHash;
-  } else if (name == "sortmerge") {
-    strategy = DiffStrategy::kSortMerge;
-  } else if (name == "partitioned") {
-    strategy = DiffStrategy::kPartitioned;
-  } else {
-    std::cerr << "bad --strategy value (want hash|sortmerge|partitioned)\n";
-    return 1;
-  }
 
   SnapshotTable prev, cur;
   std::string error;
@@ -406,10 +391,10 @@ int cmd_diff(const CliArgs& args) {
     return 1;
   }
 
-  const DiffResult diff = diff_snapshots_with(strategy, prev, cur);
+  const DiffResult diff = diff_snapshots(prev, cur);
   std::cout << "prev: " << prev_file << " (" << diff.prev_files
             << " files)\ncur:  " << cur_file << " (" << diff.cur_files
-            << " files)\nstrategy: " << name << "\n";
+            << " files)\n";
   AsciiTable table({"class", "count", "fraction", "of"});
   const auto pct = [](double f) { return format_double(100.0 * f, 2) + "%"; };
   table.add_row({"new", std::to_string(diff.new_rows.size()),

@@ -28,8 +28,6 @@ list(LENGTH snaps count)
 if(count GREATER 1)
   list(GET snaps 1 second)
   run(${TOOL} diff ${first} ${second})
-  run(${TOOL} diff ${first} ${second} --strategy=hash)
-  run(${TOOL} diff ${first} ${second} --strategy=sortmerge)
 endif()
 run(${ANALYZE} --dir=${WORKDIR}/series --report=census)
 

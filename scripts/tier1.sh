@@ -6,8 +6,9 @@
 #   scripts/tier1.sh
 #
 # The sanitizer passes are scoped rather than suite-wide to keep the gate
-# fast: ASan+UBSan covers the ingest/robustness and aggregation tests and
-# the analyzer-roster sweep, TSan covers the parallel
+# fast: ASan+UBSan covers the ingest/robustness and aggregation tests
+# (the eager decode and the stream writer included), the diff join
+# against its oracle and the analyzer-roster sweep, TSan covers the parallel
 # scan/runner/aggregation-merge tests. SPIDER_SANITIZE=ON (address) or
 # SPIDER_SANITIZE=thread works on any target if a full sanitized run is
 # wanted.
@@ -44,12 +45,14 @@ cmake --build build-asan -j"${JOBS}" --target \
     snapshot_psv_test snapshot_psv_fuzz_test snapshot_series_test \
     util_io_test util_retry_test util_status_test engine_agg_test \
     engine_flat_map_test engine_spill_test study_streaming_test \
-    study_checkpoint_test study_analyzer_roster_test
+    study_checkpoint_test study_analyzer_roster_test \
+    snapshot_scol_stream_test engine_diff_parity_test
 for t in snapshot_fault_injection_test snapshot_scol_test \
          snapshot_scol_v2_test snapshot_psv_test snapshot_psv_fuzz_test \
          snapshot_series_test util_io_test util_retry_test \
          util_status_test engine_agg_test engine_flat_map_test \
-         engine_spill_test study_analyzer_roster_test; do
+         engine_spill_test study_analyzer_roster_test \
+         snapshot_scol_stream_test engine_diff_parity_test; do
   echo "--> ${t} (sanitized)"
   ./build-asan/tests/"${t}"
 done

@@ -11,10 +11,12 @@
 // updated, untouched are fractions of the previous week's file count; new
 // is a fraction of the current week's.
 //
-// Three join strategies share this contract (README "join strategies",
-// DESIGN.md §11): a single hash index (the reference), sort-merge, and the
-// radix-partitioned join. All produce byte-identical DiffResults at any
-// thread count; bench/bench_diff.cpp measures them against each other.
+// One join computes it (DESIGN.md §11): the radix-partitioned hash join,
+// either standalone (diff_snapshots) or fused into the study's shared
+// weekly scan from the building blocks below. Its DiffResult is
+// byte-identical at any thread count. The test suite checks it against an
+// independent sort-merge oracle (tests/engine/diff_oracle.h), and
+// bench/bench_diff.cpp times it against the frozen seed join.
 #pragma once
 
 #include <atomic>
@@ -75,8 +77,7 @@ struct DiffResult {
   double new_fraction() const;
 };
 
-/// Optional diff outputs beyond the five file-row lists. Every strategy
-/// honors both flags with identical results.
+/// Optional diff outputs beyond the five file-row lists.
 struct DiffOptions {
   /// Record the matched previous-week row alongside each readonly /
   /// updated / untouched current-week row.
@@ -85,25 +86,18 @@ struct DiffOptions {
   bool dirs = false;
 };
 
-/// Which join implementation computes the diff (CLI: snapshot_tool diff
-/// --strategy; benchmarked by bench/bench_diff.cpp).
-enum class DiffStrategy {
-  kHash,
-  kSortMerge,
-  kPartitioned,
-};
-
-/// Per-phase wall-clock of one diff, for the strategy benchmark.
+/// Per-phase wall-clock of one diff_snapshots call (bench_diff and the
+/// benchmark's per-layer probes read it).
 struct DiffBreakdown {
-  double build_s = 0;  // index build / sort of the previous week
+  double build_s = 0;  // partitioned index build over the previous week
   double probe_s = 0;  // classify the current week against it
-  double sweep_s = 0;  // splice partials + deleted sweep / final sorts
+  double sweep_s = 0;  // splice partials + deleted sweep
 };
 
 /// One scan chunk's classification of current-week rows, each list in
 /// ascending row order. The concatenation across chunks (in chunk order)
 /// of each class is globally ascending — the mechanism behind the
-/// bit-identity of every strategy and of the fused kernel.
+/// bit-identity of the join at any thread count, standalone or fused.
 struct DiffChunkRows {
   static constexpr int kNew = 0;
   static constexpr int kReadonly = 1;
@@ -123,46 +117,23 @@ struct DiffChunkRows {
   std::vector<std::uint32_t> changed_dirs_prev; // prev rows
 };
 
-/// Classifies regular files between two adjacent snapshots with the single
-/// hash-index join. Probes in parallel on `pool` (null = global pool);
-/// outputs are in ascending row order (deterministic).
+/// Classifies regular files between two adjacent snapshots with the
+/// radix-partitioned join: the previous week's files are partitioned once
+/// by the top bits of the path hash, per-partition shards build fully in
+/// parallel with no atomics, then a parallel probe and a parallel deleted
+/// sweep on `pool` (null = global pool). Outputs are in ascending row
+/// order (deterministic at any thread count).
 DiffResult diff_snapshots(const SnapshotTable& prev, const SnapshotTable& cur,
                           ThreadPool* pool = nullptr,
                           DiffBreakdown* breakdown = nullptr,
                           const DiffOptions& options = {});
 
-/// Sort-merge alternative to the hash join: both sides are sorted by
-/// (path hash, path) and merged. Same result contract as diff_snapshots;
-/// exists for the join-strategy ablation benchmark. Serial.
-DiffResult diff_snapshots_sortmerge(const SnapshotTable& prev,
-                                    const SnapshotTable& cur,
-                                    DiffBreakdown* breakdown = nullptr,
-                                    const DiffOptions& options = {});
-
-/// The radix-partitioned join (DESIGN.md §11): build side partitioned once
-/// by the top bits of the path hash, per-partition shards built fully in
-/// parallel with no atomics, parallel probe, parallel deleted sweep.
-/// Byte-identical to diff_snapshots at any thread count.
-DiffResult diff_snapshots_partitioned(const SnapshotTable& prev,
-                                      const SnapshotTable& cur,
-                                      ThreadPool* pool = nullptr,
-                                      DiffBreakdown* breakdown = nullptr,
-                                      const DiffOptions& options = {});
-
-/// Dispatches on `strategy` (kSortMerge ignores the pool).
-DiffResult diff_snapshots_with(DiffStrategy strategy,
-                               const SnapshotTable& prev,
-                               const SnapshotTable& cur,
-                               ThreadPool* pool = nullptr,
-                               DiffBreakdown* breakdown = nullptr,
-                               const DiffOptions& options = {});
-
 // --- Fused-kernel building blocks -----------------------------------------
 // The study runner computes the diff as a kernel on the shared weekly scan
 // (study/runner.cc) instead of as a separate pass: each scan chunk probes
 // its own rows via diff_probe_range, and the kernel's merge assembles the
-// DiffResult via diff_finalize. Exposed here so the kernel, the standalone
-// strategies, and the tests share one implementation.
+// DiffResult via diff_finalize. Exposed here so the kernel and
+// diff_snapshots share one implementation.
 
 /// Directory side of the probe (DiffOptions::dirs): an index over the
 /// previous week's directory rows plus its match flags, one per indexed

@@ -2,25 +2,24 @@
 // snapshot is indexed once, then the current week's rows probe it in
 // parallel.
 //
-// Two shapes:
+// Two shapes, both detached from the indexed table (lookups take the
+// possibly relocated table as a parameter, so the study runner can move
+// snapshots between pipeline slots):
 //
-//   PathIndex — one open-addressing table over the whole snapshot (or a
-//   caller-provided row subset). Serial build; the original join's build
-//   side and still the reference implementation.
-//
-//   PartitionedPathIndex — the radix-partitioned build side (DESIGN.md
+//   PartitionedPathIndex — the build side of the file join (DESIGN.md
 //   §11): file rows are partitioned by the top bits of the path hash
 //   (engine/partition.h), then each partition's shard is built by one task
 //   with no atomics — the shard's slot range is private to it.
 //
+//   DetachedPathIndex — a serial open-addressing index over a row subset;
+//   the directory side of the diff.
+//
 // Both store a hash fingerprint inside the 8-byte slot itself, so probe
 // misses — the common case when the current week has grown — resolve
 // inside one compact slot array without ever touching the previous week's
-// hash column or path arena. The adjacent-week probe workload is
-// miss-dominated and latency-bound; PathIndex exposes prefetch() so probe
-// loops can overlap slot-line misses a few rows ahead, and the
-// partitioned index goes further with an L2-resident Bloom pre-filter
-// that answers most misses without touching the slot array at all.
+// hash column or path arena. The partitioned index goes further with an
+// L2-resident Bloom pre-filter that answers most misses without touching
+// the slot array at all.
 //
 // Both confirm fingerprint matches with a full path comparison, so hash
 // collisions cost a compare but never a wrong answer.
@@ -37,68 +36,6 @@
 #include "util/parallel.h"
 
 namespace spider {
-
-class PathIndex {
- public:
-  static constexpr std::uint32_t kNotFound = 0xffff'ffffu;
-
-  /// Indexes `table`. With files_only, directories are skipped — the
-  /// paper's access-pattern analysis intersects regular files only.
-  /// The table must outlive the index and must not contain duplicate paths
-  /// (snapshots never do; duplicate insertion keeps the first row).
-  explicit PathIndex(const SnapshotTable& table, bool files_only = false);
-
-  /// Indexes the subset `rows` of `table` (row indices, any order). In
-  /// this mode lookup() returns the *position in `rows`* of the match, so
-  /// callers can keep side arrays (match flags, gathered payloads) dense
-  /// over the subset. `rows` is referenced, not copied — it must outlive
-  /// the index.
-  PathIndex(const SnapshotTable& table, std::span<const std::uint32_t> rows);
-
-  /// Row of `path` in the indexed table — or, in subset mode, its position
-  /// in the subset — or kNotFound. Thread-safe. Defined inline: the diff
-  /// probe calls this once per current-week row, and keeping the slot walk
-  /// inlined into that loop is worth ~2x on the probe phase.
-  std::uint32_t lookup(std::uint64_t hash, std::string_view path) const {
-    const std::uint32_t fp = fingerprint_of(hash);
-    std::uint64_t slot = hash & mask_;
-    for (;;) {
-      const std::uint64_t stored = slots_[slot];
-      if (static_cast<std::uint32_t>(stored) == 0) return kNotFound;
-      if (static_cast<std::uint32_t>(stored >> 32) == fp) {
-        const std::uint32_t pos = static_cast<std::uint32_t>(stored) - 1;
-        const std::uint32_t row = subset_mode_ ? subset_[pos] : pos;
-        if (table_.path(row) == path) return pos;
-      }
-      slot = (slot + 1) & mask_;
-    }
-  }
-
-  /// Pulls the slot line a future lookup(hash, ...) will start at into
-  /// cache. Probe loops call this a fixed distance ahead.
-  void prefetch(std::uint64_t hash) const {
-    __builtin_prefetch(slots_.data() + (hash & mask_));
-  }
-
-  std::size_t size() const { return size_; }
-
- private:
-  /// Top 32 bits of the hash: disjoint from the low slot-selector bits, so
-  /// the in-slot filter adds information instead of echoing them.
-  static constexpr std::uint32_t fingerprint_of(std::uint64_t hash) {
-    return static_cast<std::uint32_t>(hash >> 32);
-  }
-
-  const SnapshotTable& table_;
-  std::span<const std::uint32_t> subset_;  // empty span in whole-table mode
-  bool subset_mode_ = false;
-  // fingerprint << 32 | (position + 1); 0 in the low half = empty. The
-  // fingerprint lives inside the slot so non-matching candidates are
-  // rejected without a memory access outside this array.
-  std::vector<std::uint64_t> slots_;
-  std::uint64_t mask_ = 0;
-  std::size_t size_ = 0;
-};
 
 /// Subset index that, like PartitionedPathIndex below, survives table
 /// moves: it owns its row list and stores no table reference, so the study
@@ -144,8 +81,10 @@ class DetachedPathIndex {
 
  private:
   std::vector<std::uint32_t> rows_;
-  // Same slot packing as PathIndex: fingerprint << 32 | (position + 1),
-  // 0 in the low half = empty.
+  // fingerprint << 32 | (position + 1); 0 in the low half = empty. The
+  // fingerprint (top 32 hash bits, disjoint from the low slot-selector
+  // bits) lives inside the slot so non-matching candidates are rejected
+  // without a memory access outside this array.
   std::vector<std::uint64_t> slots_;
   std::uint64_t mask_ = 0;
 };
@@ -187,9 +126,9 @@ class PartitionedPathIndex {
 
   /// Ordinal of `path` (position in file_rows()), or kNotFound. `table`
   /// must be the indexed table (possibly relocated by a move since the
-  /// build). Thread-safe. Inline for the same reason as
-  /// PathIndex::lookup — the probe loop lives or dies on this staying in
-  /// registers.
+  /// build). Thread-safe. Defined inline: the diff probe calls this once
+  /// per current-week row, and the probe loop lives or dies on the slot
+  /// walk staying in registers.
   std::uint32_t lookup(const SnapshotTable& table, std::uint64_t hash,
                        std::string_view path) const {
     return lookup_lazy(table, hash, [path] { return path; });

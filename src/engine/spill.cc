@@ -378,8 +378,7 @@ void classify_dir_records(const SpillRecords& prev, const SpillRecords& cur,
   }
 }
 
-/// The sortmerge walk of diff_snapshots_sortmerge over one partition's
-/// records of one kind. The four per-class closures let the file and
+/// The sort-merge walk over one partition's records of one kind. The four per-class closures let the file and
 /// directory walks share the loop.
 template <typename OnDeleted, typename OnNew, typename OnMatched>
 void merge_walk(const SpillRecords& prev, const SpillRecords& cur,
@@ -413,8 +412,8 @@ void merge_walk(const SpillRecords& prev, const SpillRecords& cur,
   for (; j < rhs.size(); ++j) on_new(rhs[j]);
 }
 
-/// Restores the hash join's ascending-cur-row contract for a matched
-/// class, keeping the prev list index-parallel (diff.cc's co_sort_by_cur).
+/// Restores diff_snapshots' ascending-cur-row contract for a matched
+/// class, keeping the prev list index-parallel.
 void co_sort_by_cur(std::vector<std::uint32_t>& cur_rows,
                     std::vector<std::uint32_t>& prev_rows) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
@@ -477,8 +476,7 @@ Status spill_diff_join(const SpilledSide& prev, const SpilledSide& cur,
     }
   }
 
-  // Restore the hash join's row-order contract, exactly as the sortmerge
-  // strategy does after its own walk.
+  // Restore diff_snapshots' ascending-row contract.
   std::sort(out->new_rows.begin(), out->new_rows.end());
   std::sort(out->deleted_rows.begin(), out->deleted_rows.end());
   if (options.prev_rows) {

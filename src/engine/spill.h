@@ -1,7 +1,7 @@
 // Spill-to-disk diff join: the out-of-core half of the week-over-week
 // snapshot diff (DESIGN.md §15).
 //
-// The in-memory strategies in engine/diff.h hold the previous week's path
+// The in-memory join in engine/diff.h holds the previous week's path
 // index — and with it the previous week's table — resident for the whole
 // probe. Under a streaming study (study/runner.cc with a memory budget)
 // neither week is resident: each arrives one row group at a time. This
@@ -13,14 +13,12 @@
 //      RadixPartitions::partition_of, so a path lands in partition p on
 //      both sides and the join never crosses partition boundaries.
 //   2. spill_diff_join loads ONE partition pair at a time, sort-merges it
-//      exactly like diff_snapshots_sortmerge (sort both sides by
-//      (hash, path), walk, classify on timestamp equality), and appends to
-//      the global class lists. Peak memory is one partition pair plus the
-//      result, never a whole week.
-//   3. A final ascending-by-row sort per class restores the hash join's
-//      row-order contract; the sortmerge strategy's parity tests are the
-//      precedent that classify-then-final-sort is bit-identical to
-//      diff_snapshots.
+//      (sort both sides by (hash, path), walk, classify on timestamp
+//      equality), and appends to the global class lists. Peak memory is
+//      one partition pair plus the result, never a whole week.
+//   3. A final ascending-by-row sort per class restores diff_snapshots'
+//      row-order contract, so the result is bit-identical to it (the
+//      spill tests check both against the test suite's sort-merge oracle).
 //
 // Partition files are temp files, not atomically-written artifacts, so
 // every file carries a trailer with a record count and a running checksum.

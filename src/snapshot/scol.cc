@@ -1,12 +1,9 @@
 #include "snapshot/scol.h"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <utility>
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include "snapshot/varint.h"
@@ -515,16 +512,6 @@ std::vector<std::uint8_t> encode_scol_v1(const SnapshotTable& table,
   return image;
 }
 
-Status decode_scol_v1(std::span<const std::uint8_t> bytes,
-                      SnapshotTable* table, ColumnMask columns) {
-  std::size_t pos = sizeof(kMagicV1);
-  std::uint64_t rows = 0;
-  if (!get_u64_le(bytes, pos, rows)) {
-    return Status::truncated("truncated header");
-  }
-  return decode_column_set(bytes, pos, rows, table, columns);
-}
-
 // ---- v2 (row groups) ------------------------------------------------------
 //
 //   magic "SCOL0002"
@@ -570,83 +557,6 @@ std::vector<std::uint8_t> encode_scol_v2(const SnapshotTable& table,
   }
   for (const auto& g : groups) image.insert(image.end(), g.begin(), g.end());
   return image;
-}
-
-Status decode_scol_v2(std::span<const std::uint8_t> bytes,
-                      SnapshotTable* table, const ScolOptions& options,
-                      SalvageReport* report, ThreadPool* pool) {
-  ScolV2Layout layout;
-  Status s = parse_scol_v2_layout(bytes, &layout);
-  // Header/directory damage is unrecoverable: without trustworthy group
-  // extents there is nothing to salvage against.
-  if (!s.ok()) return s;
-
-  const std::size_t ngroups = layout.group_rows.size();
-  const bool salvage =
-      options.on_corrupt_group != CorruptGroupPolicy::kFail;
-  if (report) {
-    *report = SalvageReport{};
-    report->groups_total = ngroups;
-    report->rows_total = layout.rows;
-  }
-
-  // Decode the in-bounds groups concurrently into per-group staging
-  // tables; groups whose directory extent runs past the image are
-  // truncation casualties and never touched.
-  std::vector<SnapshotTable> staging(ngroups);
-  std::vector<Status> group_status(ngroups);
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    if (layout.group_truncated[g]) {
-      group_status[g] = Status::truncated("group extends past end of image");
-    }
-  }
-  parallel_for(
-      ngroups,
-      [&](std::size_t g) {
-        if (layout.group_truncated[g]) return;
-        group_status[g] = decode_column_set(
-            bytes.subspan(layout.group_begin[g], layout.group_len[g]), 0,
-            layout.group_rows[g], &staging[g], options.columns);
-      },
-      pool, /*grain=*/1);
-
-  std::uint64_t rows_lost = 0;
-  std::size_t groups_lost = 0;
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    if (group_status[g].ok()) continue;
-    // Failures report the lowest-numbered failing group first, so
-    // messages are deterministic across thread schedules.
-    if (!salvage) {
-      return group_status[g].with_context("group " + std::to_string(g));
-    }
-    ++groups_lost;
-    rows_lost += layout.group_rows[g];
-    if (report) {
-      ScolGroupDamage damage;
-      damage.group = g;
-      damage.rows = layout.group_rows[g];
-      damage.status = group_status[g];
-      if (options.on_corrupt_group == CorruptGroupPolicy::kQuarantine) {
-        const std::size_t begin = std::min(layout.group_begin[g], bytes.size());
-        const std::size_t len = std::min(layout.group_len[g],
-                                         bytes.size() - begin);
-        damage.quarantined.assign(bytes.begin() + begin,
-                                  bytes.begin() + begin + len);
-      }
-      report->damage.push_back(std::move(damage));
-    }
-  }
-
-  table->reserve(table->size() + layout.rows - rows_lost);
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    if (group_status[g].ok()) table->append_table(std::move(staging[g]));
-  }
-  if (report) {
-    report->groups_lost = groups_lost;
-    report->rows_lost = rows_lost;
-    report->rows_recovered = layout.rows - rows_lost;
-  }
-  return Status();
 }
 
 }  // namespace
@@ -731,28 +641,6 @@ std::vector<std::uint8_t> encode_scol(const SnapshotTable& table,
                                       ThreadPool* pool) {
   if (options.format_version == 1) return encode_scol_v1(table, options);
   return encode_scol_v2(table, options, pool);
-}
-
-Status decode_scol(std::span<const std::uint8_t> bytes, SnapshotTable* table,
-                   const ScolOptions& options, SalvageReport* report,
-                   ThreadPool* pool) {
-  if (report) *report = SalvageReport{};
-  if (bytes.size() >= sizeof(kMagicV2) &&
-      std::memcmp(bytes.data(), kMagicV2, sizeof(kMagicV2)) == 0) {
-    return decode_scol_v2(bytes, table, options, report, pool);
-  }
-  if (bytes.size() >= sizeof(kMagicV1) &&
-      std::memcmp(bytes.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
-    // v1 is one whole-table column set: no per-group checksums to salvage
-    // against, so the policy degenerates to strict decode.
-    const Status s = decode_scol_v1(bytes, table, options.columns);
-    if (s.ok() && report) {
-      report->groups_total = 1;
-      report->rows_total = report->rows_recovered = table->size();
-    }
-    return s;
-  }
-  return Status::corruption("bad magic");
 }
 
 bool decode_scol(std::span<const std::uint8_t> bytes, SnapshotTable* table,
@@ -928,9 +816,6 @@ const ScolOptions& ScolGroupReader::options() const { return impl_->options; }
 
 Status ScolGroupReader::decode_group(std::size_t g,
                                      SnapshotTable* table) const {
-  if (impl_->v1) {
-    return decode_scol_v1(impl_->bytes, table, impl_->options.columns);
-  }
   if (impl_->layout.group_truncated[g]) {
     return Status::truncated("group extends past end of image");
   }
@@ -955,7 +840,7 @@ void ScolGroupReader::note_success(std::size_t g,
 Status ScolGroupReader::dispose_failure(std::size_t g, Status s,
                                         SalvageReport* report) const {
   // v1 has a single whole-table column set: nothing to salvage against,
-  // so the policy degenerates to strict — same as the eager decoder.
+  // so the policy degenerates to strict.
   if (impl_->v1) return s;
   if (impl_->options.on_corrupt_group == CorruptGroupPolicy::kFail) {
     return s.with_context("group " + std::to_string(g));
@@ -978,38 +863,52 @@ Status ScolGroupReader::dispose_failure(std::size_t g, Status s,
   return Status();
 }
 
-// ---- streaming group writer ----------------------------------------------
+// ---- eager decode ---------------------------------------------------------
 
-namespace {
+Status decode_scol(std::span<const std::uint8_t> bytes, SnapshotTable* table,
+                   const ScolOptions& options, SalvageReport* report,
+                   ThreadPool* pool) {
+  if (report) *report = SalvageReport{};
+  ScolGroupReader reader;
+  Status s = reader.open_bytes(bytes, options);
+  // Header/directory damage is unrecoverable: without trustworthy group
+  // extents there is nothing to salvage against.
+  if (!s.ok()) return s;
 
-std::string scol_errno_text() { return std::strerror(errno); }
-
-int scol_open_retry(const char* path, int flags, mode_t mode = 0) {
-  for (;;) {
-    const int fd = ::open(path, flags, mode);
-    if (fd >= 0 || errno != EINTR) return fd;
-  }
-}
-
-Status scol_write_all(int fd, const std::uint8_t* data, std::size_t count) {
-  std::size_t done = 0;
-  while (done < count) {
-    const ::ssize_t n = ::write(fd, data + done, count - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::io_error("write: " + scol_errno_text());
+  // Decode every group concurrently into its own staging table, then
+  // replay the salvage policy serially in group order — the same replay
+  // the streaming study runs, so the lowest damaged group fails a strict
+  // decode and damage is listed in group order at any thread count.
+  const std::size_t ngroups = reader.group_count();
+  std::vector<SnapshotTable> staging(ngroups);
+  std::vector<Status> verdicts(ngroups);
+  parallel_for(
+      ngroups,
+      [&](std::size_t g) { verdicts[g] = reader.decode_group(g, &staging[g]); },
+      pool, /*grain=*/1);
+  SalvageReport salvage = reader.make_report();
+  for (std::size_t g = 0; g < ngroups; ++g) {
+    if (verdicts[g].ok()) {
+      reader.note_success(g, &salvage);
+      continue;
     }
-    done += static_cast<std::size_t>(n);
+    s = reader.dispose_failure(g, std::move(verdicts[g]), &salvage);
+    if (!s.ok()) return s;
   }
+
+  table->reserve(table->size() + salvage.rows_recovered);
+  for (std::size_t g = 0; g < ngroups; ++g) {
+    if (verdicts[g].ok()) table->append_table(std::move(staging[g]));
+  }
+  if (report) *report = std::move(salvage);
   return Status();
 }
 
-}  // namespace
+// ---- streaming group writer ----------------------------------------------
 
 struct ScolStreamWriter::Impl {
   std::string file;
-  std::string payload_tmp;
-  int payload_fd = -1;
+  AppendFile payload;                    // group payloads, spooled
   ScolOptions options;
   SnapshotTable pending;                 // at most one group of rows
   std::vector<std::uint8_t> group_buf;   // encode scratch, recycled
@@ -1031,14 +930,9 @@ Status ScolStreamWriter::open(const std::string& file,
   }
   impl_->file = file;
   impl_->options = options;
-  impl_->payload_tmp =
-      file + ".payload.tmp." + std::to_string(static_cast<long>(::getpid()));
-  impl_->payload_fd = scol_open_retry(impl_->payload_tmp.c_str(),
-                                      O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (impl_->payload_fd < 0) {
-    return Status::io_error(scol_errno_text())
-        .with_context("create " + impl_->payload_tmp);
-  }
+  const Status s = impl_->payload.open(
+      file + ".payload.tmp." + std::to_string(static_cast<long>(::getpid())));
+  if (!s.ok()) return s;
   impl_->is_open = true;
   return Status();
 }
@@ -1069,9 +963,8 @@ Status ScolStreamWriter::flush_group() {
   impl_->group_buf.clear();
   encode_column_set(impl_->group_buf, impl_->pending, 0,
                     impl_->pending.size(), impl_->options);
-  const Status s = scol_write_all(impl_->payload_fd, impl_->group_buf.data(),
-                                  impl_->group_buf.size());
-  if (!s.ok()) return s.with_context(impl_->payload_tmp);
+  const Status s = impl_->payload.append(impl_->group_buf);
+  if (!s.ok()) return s.with_context(impl_->payload.path());
   impl_->directory.emplace_back(impl_->pending.size(),
                                 impl_->group_buf.size());
   impl_->pending.clear();
@@ -1083,20 +976,15 @@ Status ScolStreamWriter::finish() {
     return Status::invalid_argument("stream writer is not open");
   }
   Status s = flush_group();
-  if (s.ok() && ::fsync(impl_->payload_fd) != 0) {
-    s = Status::io_error("fsync: " + scol_errno_text())
-            .with_context(impl_->payload_tmp);
-  }
-  ::close(impl_->payload_fd);
-  impl_->payload_fd = -1;
+  impl_->payload.close();
   if (!s.ok()) {
     abort();
     return s;
   }
 
-  // Assemble header + directory + payload into a same-directory temp and
-  // rename over the destination — the streamed mirror of
-  // write_file_atomic's crash discipline.
+  // Header + directory, then the spooled payload, through the same atomic
+  // write every other file takes: a crash leaves the old file or the new
+  // one, never a torn image.
   std::vector<std::uint8_t> head;
   head.insert(head.end(), kMagicV2, kMagicV2 + sizeof(kMagicV2));
   put_u64_le(head, impl_->rows);
@@ -1106,77 +994,22 @@ Status ScolStreamWriter::finish() {
     put_u64_le(head, group_rows);
     put_u64_le(head, group_bytes);
   }
-
-  const std::string tmp = impl_->file + ".tmp." +
-                          std::to_string(static_cast<long>(::getpid()));
-  const int out = scol_open_retry(tmp.c_str(),
-                                  O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (out < 0) {
-    s = Status::io_error(scol_errno_text()).with_context("create " + tmp);
-  } else {
-    s = scol_write_all(out, head.data(), head.size());
-    if (s.ok()) {
-      const int in = scol_open_retry(impl_->payload_tmp.c_str(), O_RDONLY);
-      if (in < 0) {
-        s = Status::io_error(scol_errno_text())
-                .with_context(impl_->payload_tmp);
-      } else {
-        std::vector<std::uint8_t> buf(1 << 20);
-        for (;;) {
-          const ::ssize_t n = ::read(in, buf.data(), buf.size());
-          if (n < 0) {
-            if (errno == EINTR) continue;
-            s = Status::io_error("read: " + scol_errno_text())
-                    .with_context(impl_->payload_tmp);
-            break;
-          }
-          if (n == 0) break;
-          s = scol_write_all(out, buf.data(), static_cast<std::size_t>(n));
-          if (!s.ok()) break;
-        }
-        ::close(in);
-      }
-    }
-    if (s.ok() && ::fsync(out) != 0) {
-      s = Status::io_error("fsync: " + scol_errno_text()).with_context(tmp);
-    }
-    ::close(out);
-    if (s.ok() && ::rename(tmp.c_str(), impl_->file.c_str()) != 0) {
-      s = Status::io_error("rename: " + scol_errno_text())
-              .with_context(impl_->file);
-    }
-    if (!s.ok()) ::unlink(tmp.c_str());
-  }
-
-  if (s.ok()) {
-    // Durability of the rename, same tolerance as write_file_atomic.
-    const std::size_t slash = impl_->file.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos
-            ? std::string(".")
-            : impl_->file.substr(0, slash == 0 ? 1 : slash);
-    const int dfd = scol_open_retry(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd >= 0) {
-      if (::fsync(dfd) != 0 && errno != EINVAL && errno != EROFS) {
-        s = Status::io_error("fsync dir: " + scol_errno_text())
-                .with_context(dir);
-      }
-      ::close(dfd);
-    }
-  }
-
-  ::unlink(impl_->payload_tmp.c_str());
+  AtomicFileWriter out;
+  s = out.open(impl_->file);
+  if (s.ok()) s = out.append(head);
+  if (s.ok()) s = out.append_file(impl_->payload.path());
+  if (s.ok()) s = out.commit();
+  ::unlink(impl_->payload.path().c_str());
   impl_->is_open = false;
   return s;
 }
 
 void ScolStreamWriter::abort() {
-  if (impl_->payload_fd >= 0) {
-    ::close(impl_->payload_fd);
-    impl_->payload_fd = -1;
+  impl_->payload.close();
+  if (!impl_->payload.path().empty()) {
+    ::unlink(impl_->payload.path().c_str());
   }
-  if (!impl_->payload_tmp.empty()) ::unlink(impl_->payload_tmp.c_str());
-  *impl_ = Impl{};
+  impl_ = std::make_unique<Impl>();
 }
 
 std::uint64_t ScolStreamWriter::rows_added() const { return impl_->rows; }

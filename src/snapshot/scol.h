@@ -160,14 +160,17 @@ std::vector<std::uint8_t> encode_scol(const SnapshotTable& table,
                                       ThreadPool* pool = nullptr);
 
 /// Decodes an in-memory .scol image (either version, dispatched on the
-/// magic), appending rows into `table`. v2 row groups decode in parallel on
-/// `pool`; the splice preserves row order, so contents are identical to a
-/// single-threaded decode.
+/// magic), appending rows into `table`. Built on ScolGroupReader: its row
+/// groups (a v1 image is one group) decode in parallel on `pool`, then the
+/// reader's salvage replay runs serially in group order and the surviving
+/// groups are spliced in row order, so contents and report are identical
+/// to a single-threaded decode.
 ///
 /// Damage handling follows options.on_corrupt_group; with kSkip or
 /// kQuarantine the call succeeds whenever the header and directory are
 /// readable, appends the surviving groups, and fills `report` (if given)
-/// with the loss accounting. On a non-ok Status, `table` is unmodified.
+/// with the loss accounting. On a non-ok Status, `table` is unmodified
+/// and `report` is reset.
 Status decode_scol(std::span<const std::uint8_t> bytes, SnapshotTable* table,
                    const ScolOptions& options, SalvageReport* report = nullptr,
                    ThreadPool* pool = nullptr);
@@ -209,22 +212,24 @@ bool write_scol_file(const SnapshotTable& table, const std::string& file,
 bool read_scol_file(const std::string& file, SnapshotTable* table,
                     std::string* error = nullptr);
 
-/// Streaming group-at-a-time reader — the out-of-core half of the codec
-/// (DESIGN.md §15). open() maps the file (or borrows an in-memory image)
-/// and validates the header plus group directory exactly once; after that,
-/// decode_group() materializes any row group on demand into a caller-owned
-/// staging table, reading column payloads zero-copy out of the mapped
-/// bytes. A v1 image presents as a single group covering the whole table.
+/// Group-at-a-time reader — the only .scol decoder (DESIGN.md §15): the
+/// eager decode_scol runs on it, and so does the out-of-core study. open()
+/// maps the file (or borrows an in-memory image) and validates the header
+/// plus group directory exactly once; after that, decode_group()
+/// materializes any row group on demand into a caller-owned staging table,
+/// reading column payloads zero-copy out of the mapped bytes. A v1 image
+/// presents as a single group covering the whole table.
 ///
 /// decode_group is const and carries no hidden state, so groups may be
-/// decoded concurrently (the scan dispatcher's depth-1 prefetch does) and
-/// re-decoded freely (the study's second pass over a streamed week does).
-/// Salvage accounting therefore lives in a caller-owned SalvageReport,
-/// driven through make_report / note_success / dispose_failure; visiting
-/// every group once in directory order reproduces the eager decoder's
-/// report — same damage entries, same order, same counters, same strict-
-/// mode failure (the lowest damaged group) — which is what keeps the
-/// streaming study's gap and data-quality output bit-identical.
+/// decoded concurrently (decode_scol and the scan dispatcher's depth-1
+/// prefetch do) and re-decoded freely (the study's second pass over a
+/// streamed week does). Salvage accounting therefore lives in a
+/// caller-owned SalvageReport, driven through make_report / note_success /
+/// dispose_failure. The replay contract: visiting every group once in
+/// directory order defines the report — damage entries in group order,
+/// the counters, and the strict-mode failure (the lowest damaged group) —
+/// so every caller that replays it, decode_scol and the streaming study
+/// alike, reports identically.
 class ScolGroupReader {
  public:
   ScolGroupReader();
@@ -251,24 +256,23 @@ class ScolGroupReader {
   const ScolOptions& options() const;
 
   /// Decodes group `g`, appending its rows to `table` under the open
-  /// options' projection mask. Returns the group's own verdict — the same
-  /// Status the eager decoder would assign this group (checksums verified
-  /// for every block regardless of projection; a directory extent past the
-  /// image is kTruncated) — without applying the salvage policy; on a
-  /// non-ok Status `table` is untouched.
+  /// options' projection mask. Returns the group's own verdict (checksums
+  /// verified for every block regardless of projection; a directory extent
+  /// past the image is kTruncated) without applying the salvage policy; on
+  /// a non-ok Status `table` is untouched.
   Status decode_group(std::size_t g, SnapshotTable* table) const;
 
-  /// A report pre-filled with groups_total / rows_total, matching the
-  /// eager decoder's initialization.
+  /// A report pre-filled with groups_total / rows_total.
   SalvageReport make_report() const;
 
   /// Accounts a successfully decoded group in `report`.
   void note_success(std::size_t g, SalvageReport* report) const;
 
-  /// Applies the salvage policy to a failed group exactly as the eager
-  /// decoder does: kFail returns the error with "group N" context; kSkip /
-  /// kQuarantine record the damage (quarantining the group's raw bytes
-  /// when configured) in `report` and return ok.
+  /// Applies the salvage policy to a failed group: kFail returns the error
+  /// with "group N" context (a v1 image's error unchanged: it has nothing
+  /// to salvage around); kSkip / kQuarantine record the damage
+  /// (quarantining the group's raw bytes when configured) in `report` and
+  /// return ok.
   Status dispose_failure(std::size_t g, Status s, SalvageReport* report) const;
 
  private:
@@ -279,9 +283,9 @@ class ScolGroupReader {
 /// Streaming v2 writer: accepts rows group-at-a-time and never holds more
 /// than one group in memory — the generator uses it to produce series at
 /// scales whose whole-table image could not exist in the container. Group
-/// payloads append to a same-directory temp file as they fill; finish()
-/// assembles header + directory + payload and renames atomically (crash
-/// leaves the old file or none, never a torn image). The output is
+/// payloads append to a same-directory spool file as they fill; finish()
+/// writes header + directory + payload through util/io's AtomicFileWriter
+/// (crash leaves the old file or none, never a torn image). The output is
 /// byte-identical to write_scol_file of the same rows under the same
 /// options: group boundaries fall at the same multiples of
 /// options.group_size and every encoder restarts per group either way.

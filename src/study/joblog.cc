@@ -32,15 +32,7 @@ JobLogResult analyze_job_log(FacilityGenerator& generator,
         interval_jobs = 0;
         // Retain the snapshot for the next interval's diff.
         prev.taken_at = snap.taken_at;
-        prev.table = SnapshotTable();
-        prev.table.reserve(snap.table.size());
-        for (std::size_t i = 0; i < snap.table.size(); ++i) {
-          prev.table.add(snap.table.path(i), snap.table.atime(i),
-                         snap.table.ctime(i), snap.table.mtime(i),
-                         snap.table.uid(i), snap.table.gid(i),
-                         snap.table.mode(i), snap.table.inode(i),
-                         snap.table.osts(i));
-        }
+        prev.table = snap.table.clone();
         have_prev = true;
       },
       [&](const JobRecord& job) {

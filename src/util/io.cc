@@ -1,5 +1,6 @@
 #include "util/io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -50,20 +51,6 @@ Status write_all(int fd, const std::uint8_t* data, std::size_t count,
   return Status();
 }
 
-/// RAII for the temp file of an atomic write: unlinks unless disarmed.
-class TempFileGuard {
- public:
-  explicit TempFileGuard(std::string path) : path_(std::move(path)) {}
-  ~TempFileGuard() {
-    if (armed_) ::unlink(path_.c_str());
-  }
-  void disarm() { armed_ = false; }
-
- private:
-  std::string path_;
-  bool armed_ = true;
-};
-
 WriteInterceptor* g_write_interceptor = nullptr;
 
 WriteInterceptor::Decision intercept(WriteOp op, const std::string& path) {
@@ -89,6 +76,12 @@ Status fsync_parent_dir(const std::string& path) {
   }
   close_quietly(fd);
   return s;
+}
+
+Status injected_fault(WriteOp op, const std::string& path) {
+  return Status::io_error(std::string("injected fault at ") +
+                          std::string(write_op_name(op)))
+      .with_context(path);
 }
 
 }  // namespace
@@ -184,88 +177,157 @@ Status read_file(const std::string& path, std::string* out, IoStats* stats) {
   return Status();
 }
 
-Status write_file_atomic(const std::string& path,
-                         std::span<const std::uint8_t> bytes, IoStats* stats) {
+Status AppendFile::open(const std::string& path) {
+  close();
+  const int fd = open_retry(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return Status::io_error(errno_text()).with_context("create " + path);
+  }
+  path_ = path;
+  fd_ = fd;
+  size_ = 0;
+  return Status();
+}
+
+Status AppendFile::append(std::span<const std::uint8_t> bytes,
+                          IoStats* stats) {
+  const Status s = write_all(fd_, bytes.data(), bytes.size(), stats);
+  if (s.ok()) size_ += bytes.size();
+  return s;
+}
+
+Status AppendFile::sync() {
+  if (::fsync(fd_) != 0) return Status::io_error("fsync: " + errno_text());
+  return Status();
+}
+
+void AppendFile::close() {
+  if (fd_ >= 0) close_quietly(fd_);
+  fd_ = -1;
+}
+
+Status AtomicFileWriter::open(const std::string& path, IoStats* stats) {
+  abort();
+  const WriteInterceptor::Decision d = intercept(WriteOp::kOpen, path);
+  if (d.fail || d.crash) return injected_fault(WriteOp::kOpen, path);
   // Same directory as the target so the rename cannot cross filesystems.
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  const Status s = temp_.open(tmp);
+  if (!s.ok()) return s;
+  path_ = path;
+  tmp_ = tmp;
+  stats_ = stats;
+  return Status();
+}
 
-  const auto injected = [&path](WriteOp op) {
-    return Status::io_error(std::string("injected fault at ") +
-                            std::string(write_op_name(op)))
-        .with_context(path);
-  };
-
-  WriteInterceptor::Decision d = intercept(WriteOp::kOpen, path);
-  if (d.fail || d.crash) return injected(WriteOp::kOpen);
-  const int fd =
-      open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::io_error(errno_text()).with_context("create " + tmp);
-  }
-  TempFileGuard guard(tmp);
-
-  d = intercept(WriteOp::kWrite, path);
+Status AtomicFileWriter::append(std::span<const std::uint8_t> bytes) {
+  if (!temp_.is_open()) return Status::io_error("write: not open");
+  const WriteInterceptor::Decision d = intercept(WriteOp::kWrite, path_);
   if (d.crash) {
-    // Simulated process death mid-write: a prefix of the payload lands in
-    // the temp file and no destructor cleans it up — exactly the torn temp
-    // a killed writer leaves behind. The destination is untouched.
-    const std::size_t keep = std::min(d.keep_bytes, bytes.size());
-    (void)write_all(fd, bytes.data(), keep, stats);
-    close_quietly(fd);
-    guard.disarm();
-    return injected(WriteOp::kWrite);
+    // Simulated process death mid-write: a prefix of the bytes lands in
+    // the temp file and no destructor cleans it up — exactly the torn
+    // temp a killed writer leaves behind. The destination is untouched.
+    (void)temp_.append(bytes.first(std::min(d.keep_bytes, bytes.size())),
+                       stats_);
+    return crash(WriteOp::kWrite);
   }
-  Status s = d.fail ? Status::io_error("injected write fault")
-                    : write_all(fd, bytes.data(), bytes.size(), stats);
+  if (d.fail) return fail(Status::io_error("injected write fault"));
+  const Status s = temp_.append(bytes, stats_);
+  return s.ok() ? s : fail(s);
+}
 
-  if (s.ok()) {
-    d = intercept(WriteOp::kSyncFile, path);
-    if (d.crash) {
-      // Death at fsync: the tail past the last durable sector is lost.
-      const std::size_t keep = std::min(d.keep_bytes, bytes.size());
-      (void)::ftruncate(fd, static_cast<off_t>(keep));
-      close_quietly(fd);
-      guard.disarm();
-      return injected(WriteOp::kSyncFile);
+Status AtomicFileWriter::append_file(const std::string& file) {
+  const int fd = open_retry(file.c_str(), O_RDONLY);
+  if (fd < 0) return fail(Status::io_error(errno_text()).with_context(file));
+  std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+  Status s;
+  for (;;) {
+    const ::ssize_t n = ::read(fd, buf.data(), buf.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      s = fail(Status::io_error("read: " + errno_text()).with_context(file));
+      break;
     }
-    if (d.fail) {
-      s = Status::io_error("injected fsync fault");
-    } else if (::fsync(fd) != 0) {
-      s = Status::io_error("fsync: " + errno_text());
-    }
+    if (n == 0) break;
+    s = append(std::span<const std::uint8_t>(buf).first(
+        static_cast<std::size_t>(n)));
+    if (!s.ok()) break;
   }
   close_quietly(fd);
-  if (!s.ok()) return s.with_context(path);
+  return s;
+}
 
-  d = intercept(WriteOp::kRename, path);
+Status AtomicFileWriter::commit() {
+  if (!temp_.is_open()) return Status::io_error("commit: not open");
+  WriteInterceptor::Decision d = intercept(WriteOp::kSyncFile, path_);
+  if (d.crash) {
+    // Death at fsync: the tail past the last durable sector is lost.
+    const std::uint64_t keep =
+        std::min<std::uint64_t>(d.keep_bytes, temp_.size());
+    temp_.close();
+    (void)::truncate(tmp_.c_str(), static_cast<off_t>(keep));
+    return crash(WriteOp::kSyncFile);
+  }
+  const Status s = d.fail ? Status::io_error("injected fsync fault")
+                          : temp_.sync();
+  temp_.close();
+  if (!s.ok()) return fail(s);
+
+  d = intercept(WriteOp::kRename, path_);
   if (d.crash) {
     // Death at the rename boundary: power loss leaves either the old
     // destination (rename never happened; temp orphaned) or the new one
     // (it did). Both are legal crash states the resume path must handle.
-    if (d.complete_rename && ::rename(tmp.c_str(), path.c_str()) == 0) {
-      guard.disarm();
-    } else {
-      guard.disarm();  // temp left behind, as a dead process would
-    }
-    return injected(WriteOp::kRename);
+    if (d.complete_rename) (void)::rename(tmp_.c_str(), path_.c_str());
+    return crash(WriteOp::kRename);
   }
-  if (d.fail) {
-    return Status::io_error("injected rename fault").with_context(path);
+  if (d.fail) return fail(Status::io_error("injected rename fault"));
+  if (::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    return fail(Status::io_error("rename: " + errno_text()));
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::io_error("rename: " + errno_text()).with_context(path);
-  }
-  guard.disarm();
+  tmp_.clear();  // renamed away: nothing left to clean up
 
   // Make the rename itself durable: without the directory fsync a power
   // loss can roll the dirent back even though the file data was synced.
+  const std::string path = std::move(path_);
+  abort();
   d = intercept(WriteOp::kSyncDir, path);
-  if (d.crash) return injected(WriteOp::kSyncDir);
+  if (d.crash) return injected_fault(WriteOp::kSyncDir, path);
   if (d.fail) {
     return Status::io_error("injected dir-fsync fault").with_context(path);
   }
   return fsync_parent_dir(path);
+}
+
+void AtomicFileWriter::abort() {
+  temp_.close();
+  if (!tmp_.empty()) ::unlink(tmp_.c_str());
+  tmp_.clear();
+  path_.clear();
+  stats_ = nullptr;
+}
+
+Status AtomicFileWriter::fail(Status s) {
+  s = s.with_context(path_);
+  abort();
+  return s;
+}
+
+Status AtomicFileWriter::crash(WriteOp op) {
+  const Status s = injected_fault(op, path_);
+  tmp_.clear();  // a dead process cleans nothing up
+  abort();
+  return s;
+}
+
+Status write_file_atomic(const std::string& path,
+                         std::span<const std::uint8_t> bytes, IoStats* stats) {
+  AtomicFileWriter writer;
+  Status s = writer.open(path, stats);
+  if (s.ok()) s = writer.append(bytes);
+  if (s.ok()) s = writer.commit();
+  return s;
 }
 
 Status write_file_atomic(const std::string& path, std::string_view text,

@@ -3,7 +3,8 @@
 //
 //   * reads loop over short reads and retry EINTR (signals during a nightly
 //     collection run must not look like corrupt snapshots);
-//   * whole-file writes go to a same-directory temp file, fsync the file,
+//   * whole-file writes (AtomicFileWriter, whole-buffer or appended in
+//     pieces) go to a same-directory temp file, fsync the file,
 //     atomically rename into place, then fsync the parent directory — a
 //     crash mid-write leaves either the old file or the new one, never a
 //     torn .scol/PSV/.sckpt image, and the rename itself is durable across
@@ -14,7 +15,7 @@
 // harness (util/fault.h FaultyFile) can drive them with deliberately
 // awkward read schedules without interposing on real syscalls. The write
 // path has the mirror-image seam: a WriteInterceptor consulted before each
-// stage of write_file_atomic, which lets util/fault.h's WriteFaultInjector
+// stage of every atomic write, which lets util/fault.h's WriteFaultInjector
 // fail a stage, tear the bytes that land, or simulate the process dying
 // mid-write (temp file left behind, every later write dead) — the
 // kill-point sweep of the checkpoint layer (DESIGN.md §14) is built on it.
@@ -58,7 +59,7 @@ Status read_file(const std::string& path, std::vector<std::uint8_t>* out,
 Status read_file(const std::string& path, std::string* out,
                  IoStats* stats = nullptr);
 
-/// The observable stages of write_file_atomic, in execution order.
+/// The observable stages of an atomic write, in execution order.
 enum class WriteOp : std::uint8_t {
   kOpen = 0,   // create the same-directory temp file
   kWrite,      // write the payload into the temp file
@@ -68,7 +69,7 @@ enum class WriteOp : std::uint8_t {
 };
 std::string_view write_op_name(WriteOp op);
 
-/// Test seam consulted before every stage of write_file_atomic. The
+/// Test seam consulted before every stage of an atomic write. The
 /// decision can fail the stage cleanly (temp removed, destination
 /// untouched) or simulate the process dying at that stage: partial effects
 /// land exactly as a crash would leave them and the temp file is NOT
@@ -87,17 +88,83 @@ class WriteInterceptor {
     /// (both outcomes are real states a power loss can leave).
     bool complete_rename = false;
   };
-  /// `path` is the destination file. Called once per stage per write.
+  /// `path` is the destination file. Called once per stage per write
+  /// (kWrite once per append).
   virtual Decision on_op(WriteOp op, const std::string& path) = 0;
 };
 
-/// Installs a process-wide interceptor for write_file_atomic (null to
-/// remove). Test-only: production writers never install one.
+/// Installs a process-wide interceptor for every AtomicFileWriter (and so
+/// write_file_atomic); null to remove. Test-only: production writers never
+/// install one.
 void set_write_interceptor(WriteInterceptor* interceptor);
 
-/// Writes `bytes` to `path` via a same-directory temp file + fsync +
-/// atomic rename + parent-directory fsync. On any failure the temp file is
-/// removed and the previous `path` contents (if any) are untouched.
+/// A file opened for appending: open() creates or truncates it, append()
+/// loops over short writes and retries EINTR. No durability and no
+/// interceptor — the building block of AtomicFileWriter's temp file, and
+/// on its own a scratch spool (ScolStreamWriter's group payloads).
+class AppendFile {
+ public:
+  AppendFile() = default;
+  ~AppendFile() { close(); }
+  AppendFile(const AppendFile&) = delete;
+  AppendFile& operator=(const AppendFile&) = delete;
+
+  Status open(const std::string& path);
+  Status append(std::span<const std::uint8_t> bytes, IoStats* stats = nullptr);
+  Status sync();
+  void close();
+
+  bool is_open() const { return fd_ >= 0; }
+  const std::string& path() const { return path_; }
+  /// Bytes appended since open().
+  std::uint64_t size() const { return size_; }
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+  std::uint64_t size_ = 0;
+};
+
+/// The one atomic-write implementation: a same-directory temp file that
+/// replaces `path` on commit() via fsync + atomic rename + parent-directory
+/// fsync. Bytes arrive through any number of append() calls, so a writer
+/// that produces its file in pieces gets the same crash discipline as a
+/// whole-buffer write_file_atomic. The WriteInterceptor is consulted before
+/// each stage: kOpen in open(), kWrite once per append(), kSyncFile,
+/// kRename and kSyncDir in commit(). Until commit() renames, `path` is
+/// untouched; any failure (or abort(), or destruction) removes the temp
+/// file — except a simulated crash, which leaves it behind as a dead
+/// process would.
+class AtomicFileWriter {
+ public:
+  AtomicFileWriter() = default;
+  ~AtomicFileWriter() { abort(); }
+  AtomicFileWriter(const AtomicFileWriter&) = delete;
+  AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
+
+  Status open(const std::string& path, IoStats* stats = nullptr);
+  Status append(std::span<const std::uint8_t> bytes);
+  /// Appends the whole contents of `file`, one bounded append() per chunk.
+  Status append_file(const std::string& file);
+  Status commit();
+  void abort();
+
+ private:
+  /// Fails the write: the temp file is removed, `s` gains the destination
+  /// as context.
+  Status fail(Status s);
+  /// Simulated death at `op`: the temp file stays, the writer is inert.
+  Status crash(WriteOp op);
+
+  std::string path_;  // destination
+  std::string tmp_;   // temp file to remove on failure; empty = none
+  AppendFile temp_;
+  IoStats* stats_ = nullptr;
+};
+
+/// Writes `bytes` to `path` through one AtomicFileWriter. On any failure
+/// the temp file is removed and the previous `path` contents (if any) are
+/// untouched.
 Status write_file_atomic(const std::string& path,
                          std::span<const std::uint8_t> bytes,
                          IoStats* stats = nullptr);

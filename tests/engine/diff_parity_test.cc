@@ -1,9 +1,10 @@
-// Join-strategy parity: the hash, sort-merge, and partitioned diff joins
-// must produce byte-identical DiffResults on the same snapshot pair, at
-// every thread count, including the degenerate weeks (empty, all-new,
-// all-deleted, dirs-only) and pairs engineered so many paths share the
-// top 16 bits of their hash — the partition selector AND the shard
-// fingerprint's neighborhood, the worst case for the partitioned probe.
+// Join parity: diff_snapshots (the radix-partitioned join) must produce
+// the same DiffResult as the independent sort-merge oracle
+// (diff_oracle.h) on the same snapshot pair, at every thread count,
+// including the degenerate weeks (empty, all-new, all-deleted, dirs-only)
+// and pairs engineered so many paths share the top 16 bits of their hash
+// — the partition selector AND the shard fingerprint's neighborhood, the
+// worst case for the partitioned probe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "diff_oracle.h"
 #include "engine/diff.h"
 #include "snapshot/table.h"
 #include "util/hash.h"
@@ -277,21 +279,12 @@ TEST_P(DiffParityTest, StrategiesAgreeAtEveryThreadCount) {
   const std::string profile = GetParam();
   for (const std::uint64_t seed : {11ull, 23ull}) {
     const SnapshotPair pair = make_profile(profile, seed);
-    ThreadPool reference_pool(1);
-    const DiffResult reference =
-        diff_snapshots(pair.prev, pair.cur, &reference_pool);
-
-    expect_equal(diff_snapshots_sortmerge(pair.prev, pair.cur), reference,
-                 profile + "/sortmerge seed=" + std::to_string(seed));
-
+    const DiffResult reference = diff_snapshots_sortmerge(pair.prev, pair.cur);
     for (const unsigned threads : {1u, 2u, 7u, 0u}) {  // 0 = hardware
       ThreadPool pool(threads);
-      const std::string label = profile + " seed=" + std::to_string(seed) +
-                                " threads=" + std::to_string(threads);
       expect_equal(diff_snapshots(pair.prev, pair.cur, &pool), reference,
-                   "hash " + label);
-      expect_equal(diff_snapshots_partitioned(pair.prev, pair.cur, &pool),
-                   reference, "partitioned " + label);
+                   profile + " seed=" + std::to_string(seed) +
+                       " threads=" + std::to_string(threads));
     }
   }
 }
@@ -301,35 +294,24 @@ TEST_P(DiffParityTest, PrevRowMappingAndDirDiffAgree) {
   const DiffOptions options{.prev_rows = true, .dirs = true};
   for (const std::uint64_t seed : {11ull, 23ull}) {
     const SnapshotPair pair = make_profile(profile, seed);
-    ThreadPool reference_pool(1);
-    const DiffResult reference = diff_snapshots(pair.prev, pair.cur,
-                                                &reference_pool,
-                                                /*breakdown=*/nullptr, options);
+    const DiffResult reference =
+        diff_snapshots_sortmerge(pair.prev, pair.cur, options);
     const std::string base = profile + " seed=" + std::to_string(seed);
-    expect_mapping_semantics(pair, reference, base + "/reference");
-    expect_dir_semantics(pair, reference, base + "/reference");
-
-    expect_equal(
-        diff_snapshots_sortmerge(pair.prev, pair.cur, nullptr, options),
-        reference, base + "/sortmerge");
+    expect_mapping_semantics(pair, reference, base + "/oracle");
+    expect_dir_semantics(pair, reference, base + "/oracle");
     for (const unsigned threads : {1u, 2u, 7u, 0u}) {  // 0 = hardware
       ThreadPool pool(threads);
-      const std::string label = base + " threads=" + std::to_string(threads);
       expect_equal(
           diff_snapshots(pair.prev, pair.cur, &pool, nullptr, options),
-          reference, "hash " + label);
-      expect_equal(diff_snapshots_partitioned(pair.prev, pair.cur, &pool,
-                                              nullptr, options),
-                   reference, "partitioned " + label);
+          reference, base + " threads=" + std::to_string(threads));
     }
   }
 
   // Default options must leave the optional outputs untouched.
   const SnapshotPair pair = make_profile(profile, 11);
-  for (const DiffResult& plain :
-       {diff_snapshots(pair.prev, pair.cur),
-        diff_snapshots_sortmerge(pair.prev, pair.cur),
-        diff_snapshots_partitioned(pair.prev, pair.cur)}) {
+  for (const DiffResult& plain : {diff_snapshots(pair.prev, pair.cur),
+                                  diff_snapshots_sortmerge(pair.prev,
+                                                           pair.cur)}) {
     EXPECT_FALSE(plain.has_prev_rows) << profile;
     EXPECT_FALSE(plain.has_dir_diff) << profile;
     EXPECT_TRUE(plain.readonly_prev_rows.empty()) << profile;
@@ -346,36 +328,17 @@ INSTANTIATE_TEST_SUITE_P(Profiles, DiffParityTest,
                            return std::string(info.param);
                          });
 
-TEST(DiffStrategyDispatchTest, WithSelectsEachStrategy) {
-  const SnapshotPair pair = random_pair(5, 1500);
-  ThreadPool pool(2);
-  const DiffResult reference = diff_snapshots(pair.prev, pair.cur, &pool);
-  expect_equal(
-      diff_snapshots_with(DiffStrategy::kHash, pair.prev, pair.cur, &pool),
-      reference, "with/hash");
-  expect_equal(diff_snapshots_with(DiffStrategy::kSortMerge, pair.prev,
-                                   pair.cur, &pool),
-               reference, "with/sortmerge");
-  expect_equal(diff_snapshots_with(DiffStrategy::kPartitioned, pair.prev,
-                                   pair.cur, &pool),
-               reference, "with/partitioned");
-}
-
 TEST(DiffBreakdownTest, PhasesAreRecordedForEveryStrategy) {
   const SnapshotPair pair = random_pair(9, 2000);
   ThreadPool pool(2);
-  for (const DiffStrategy strategy :
-       {DiffStrategy::kHash, DiffStrategy::kSortMerge,
-        DiffStrategy::kPartitioned}) {
-    DiffBreakdown breakdown;
-    const DiffResult result =
-        diff_snapshots_with(strategy, pair.prev, pair.cur, &pool, &breakdown);
-    EXPECT_GT(result.prev_files, 0u);
-    EXPECT_GE(breakdown.build_s, 0.0);
-    EXPECT_GE(breakdown.probe_s, 0.0);
-    EXPECT_GE(breakdown.sweep_s, 0.0);
-    EXPECT_GT(breakdown.build_s + breakdown.probe_s + breakdown.sweep_s, 0.0);
-  }
+  DiffBreakdown breakdown;
+  const DiffResult result =
+      diff_snapshots(pair.prev, pair.cur, &pool, &breakdown);
+  EXPECT_GT(result.prev_files, 0u);
+  EXPECT_GE(breakdown.build_s, 0.0);
+  EXPECT_GE(breakdown.probe_s, 0.0);
+  EXPECT_GE(breakdown.sweep_s, 0.0);
+  EXPECT_GT(breakdown.build_s + breakdown.probe_s + breakdown.sweep_s, 0.0);
 }
 
 }  // namespace

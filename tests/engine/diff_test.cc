@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "diff_oracle.h"
 #include "engine/hash_index.h"
 #include "util/prng.h"
 
@@ -29,46 +30,59 @@ RawRecord dir_record(const std::string& path) {
   return rec;
 }
 
+// DetachedPathIndex, the subset path index behind the diff's directory
+// side: lookups return positions in rows().
 TEST(PathIndexTest, LookupHitsAndMisses) {
   SnapshotTable t;
   t.add(file_record("/lustre/atlas2/p/u/a", 1, 1, 1));
   t.add(dir_record("/lustre/atlas2/p/u"));
   t.add(file_record("/lustre/atlas2/p/u/b", 2, 2, 2));
 
-  const PathIndex all(t, /*files_only=*/false);
+  const DetachedPathIndex all(t, {0, 1, 2});
   EXPECT_EQ(all.size(), 3u);
-  EXPECT_EQ(all.lookup(hash_bytes("/lustre/atlas2/p/u/a"),
+  EXPECT_EQ(all.lookup(t, hash_bytes("/lustre/atlas2/p/u/a"),
                        "/lustre/atlas2/p/u/a"),
             0u);
-  EXPECT_EQ(all.lookup(hash_bytes("/lustre/atlas2/p/u"),
+  EXPECT_EQ(all.lookup(t, hash_bytes("/lustre/atlas2/p/u"),
                        "/lustre/atlas2/p/u"),
             1u);
-  EXPECT_EQ(all.lookup(hash_bytes("/nope"), "/nope"), PathIndex::kNotFound);
+  EXPECT_EQ(all.lookup(t, hash_bytes("/nope"), "/nope"),
+            DetachedPathIndex::kNotFound);
 
-  const PathIndex files(t, /*files_only=*/true);
-  EXPECT_EQ(files.size(), 2u);
-  EXPECT_EQ(files.lookup(hash_bytes("/lustre/atlas2/p/u"),
-                         "/lustre/atlas2/p/u"),
-            PathIndex::kNotFound);
+  // Subset mode: only the listed rows are indexed, and a hit returns the
+  // position in the subset, not the row.
+  const DetachedPathIndex dirs(t, dir_rows_of(t));
+  ASSERT_EQ(dirs.size(), 1u);
+  EXPECT_EQ(dirs.lookup(t, hash_bytes("/lustre/atlas2/p/u"),
+                        "/lustre/atlas2/p/u"),
+            0u);
+  EXPECT_EQ(dirs.row_of(0), 1u);
+  EXPECT_EQ(dirs.lookup(t, hash_bytes("/lustre/atlas2/p/u/b"),
+                        "/lustre/atlas2/p/u/b"),
+            DetachedPathIndex::kNotFound);
 }
 
 TEST(PathIndexTest, EmptyTable) {
   SnapshotTable t;
-  const PathIndex index(t);
+  const DetachedPathIndex index(t, {});
   EXPECT_EQ(index.size(), 0u);
-  EXPECT_EQ(index.lookup(123, "/x"), PathIndex::kNotFound);
+  EXPECT_EQ(index.lookup(t, 123, "/x"), DetachedPathIndex::kNotFound);
+  const DetachedPathIndex unbuilt;
+  EXPECT_EQ(unbuilt.lookup(t, 123, "/x"), DetachedPathIndex::kNotFound);
 }
 
 TEST(PathIndexTest, ManyRows) {
   SnapshotTable t;
+  std::vector<std::uint32_t> rows;
   for (int i = 0; i < 20000; ++i) {
     t.add(file_record("/lustre/atlas2/p/u/f" + std::to_string(i), i, i, i));
+    rows.push_back(static_cast<std::uint32_t>(19999 - i));  // any order
   }
-  const PathIndex index(t);
+  const DetachedPathIndex index(t, rows);
   for (int i = 0; i < 20000; i += 97) {
     const std::string path = "/lustre/atlas2/p/u/f" + std::to_string(i);
-    ASSERT_EQ(index.lookup(hash_bytes(path), path),
-              static_cast<std::uint32_t>(i));
+    ASSERT_EQ(index.lookup(t, hash_bytes(path), path),
+              static_cast<std::uint32_t>(19999 - i));
   }
 }
 
@@ -183,8 +197,9 @@ TEST_P(DiffPropertyTest, PartitionInvariant) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
-// The sort-merge join must produce byte-identical results to the hash
-// join on arbitrary inputs (it exists for the ablation benchmark).
+// diff_snapshots (a radix-partitioned hash join) must produce
+// byte-identical results to the independent sort-merge oracle on
+// arbitrary inputs.
 class SortMergeEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 };
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/hash_index.h"
@@ -218,11 +219,17 @@ TEST(PartitionedPathIndexTest, BloomFilterHasNoFalseNegatives) {
   }
 }
 
-TEST(PartitionedPathIndexTest, MatchesPathIndexOnLargeTable) {
+TEST(PartitionedPathIndexTest, MatchesNaiveMapOnLargeTable) {
   const SnapshotTable t = mixed_table(40'000, 13);
   ThreadPool pool(4);
   const PartitionedPathIndex partitioned(t, &pool);
-  const PathIndex flat(t, /*files_only=*/true);
+  // The naive reference: path -> first file row with that path.
+  std::unordered_map<std::string, std::uint32_t> naive;
+  for (std::size_t row = 0; row < t.size(); ++row) {
+    if (!t.is_dir(row)) {
+      naive.emplace(std::string(t.path(row)), static_cast<std::uint32_t>(row));
+    }
+  }
   EXPECT_EQ(partitioned.size(), t.file_count());
   EXPECT_GT(partitioned.partition_count(), 1u);
   Rng rng(7);
@@ -233,10 +240,11 @@ TEST(PartitionedPathIndexTest, MatchesPathIndexOnLargeTable) {
                                  : "/lustre/ghost/f" + std::to_string(i);
     const std::uint64_t h = hash_bytes(path);
     const std::uint32_t ordinal = partitioned.lookup(t, h, path);
-    const std::uint32_t row = flat.lookup(h, path);
-    if (row == PathIndex::kNotFound) {
+    const auto it = naive.find(path);
+    if (it == naive.end()) {
       EXPECT_EQ(ordinal, PartitionedPathIndex::kNotFound) << path;
     } else {
+      const std::uint32_t row = it->second;
       ASSERT_NE(ordinal, PartitionedPathIndex::kNotFound) << path;
       EXPECT_EQ(partitioned.row_of(ordinal), row) << path;
       EXPECT_EQ(partitioned.payload(ordinal).atime, t.atime(row));

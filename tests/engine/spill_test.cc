@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "diff_oracle.h"
 #include "engine/diff.h"
 #include "util/io.h"
 #include "util/prng.h"
@@ -146,8 +147,7 @@ TEST_P(SpillJoinParity, MatchesInMemoryDiffAtEveryFanOut) {
   DiffOptions options;
   options.prev_rows = true;
   options.dirs = true;
-  const DiffResult want = diff_snapshots(prev, cur, /*pool=*/nullptr,
-                                         /*breakdown=*/nullptr, options);
+  const DiffResult want = diff_snapshots_sortmerge(prev, cur, options);
 
   for (const std::uint32_t bits : {0u, 3u}) {
     TempDir dir("spider_spill_parity_" + std::to_string(GetParam()) + "_" +
@@ -163,7 +163,7 @@ TEST_P(SpillJoinParity, MatchesInMemoryDiffAtEveryFanOut) {
 TEST_P(SpillJoinParity, MatchesWithoutExtras) {
   SnapshotTable prev, cur;
   make_week_pair(GetParam() + 100, &prev, &cur);
-  const DiffResult want = diff_snapshots(prev, cur);
+  const DiffResult want = diff_snapshots_sortmerge(prev, cur);
 
   TempDir dir("spider_spill_noextras_" + std::to_string(GetParam()));
   const SpilledSide prev_side = spill_table(prev, dir.path(), "prev", 2);
@@ -179,7 +179,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpillJoinParity,
 TEST(SpillJoinTest, ForcedTinyBudgetSpillsEveryPartition) {
   // A one-byte partition budget forces the maximum fan-out: every one of
   // the 256 partitions is a real spill file, and the join must still be
-  // bit-identical to the resident diff.
+  // bit-identical to the diff oracle.
   SnapshotTable prev, cur;
   make_week_pair(31, &prev, &cur);
   const std::uint32_t bits = spill_bits_for(prev.size(), 64, 1);
@@ -188,8 +188,7 @@ TEST(SpillJoinTest, ForcedTinyBudgetSpillsEveryPartition) {
   DiffOptions options;
   options.prev_rows = true;
   options.dirs = true;
-  const DiffResult want = diff_snapshots(prev, cur, /*pool=*/nullptr,
-                                         /*breakdown=*/nullptr, options);
+  const DiffResult want = diff_snapshots_sortmerge(prev, cur, options);
 
   TempDir dir("spider_spill_tiny_budget");
   const SpilledSide prev_side = spill_table(prev, dir.path(), "prev", bits);
@@ -272,8 +271,7 @@ TEST(SpillFaultTest, ChecksumMismatchRegeneratesOnceAndJoins) {
   DiffOptions options;
   options.prev_rows = true;
   options.dirs = true;
-  const DiffResult want = diff_snapshots(prev, cur, /*pool=*/nullptr,
-                                         /*breakdown=*/nullptr, options);
+  const DiffResult want = diff_snapshots_sortmerge(prev, cur, options);
 
   TempDir dir("spider_spill_fault_recover");
   SpilledSide prev_side = spill_table(prev, dir.path(), "prev", 3);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "snapshot/scol.h"
+#include "util/fault.h"
 #include "util/io.h"
 #include "util/prng.h"
 
@@ -396,6 +397,85 @@ TEST(ScolStreamWriterTest, LargeBatchRoundTripsThroughGroupReader) {
   }
   expect_tables_equal(table, streamed);
   std::remove(path.c_str());
+}
+
+/// RAII install/remove for the process-wide write interceptor.
+class InterceptorScope {
+ public:
+  explicit InterceptorScope(WriteInterceptor* i) { set_write_interceptor(i); }
+  ~InterceptorScope() { set_write_interceptor(nullptr); }
+};
+
+// finish() writes through util/io's atomic writer: a simulated crash at
+// any stage — create, header append, payload append, file fsync, rename,
+// directory fsync — leaves the destination holding the complete old image
+// or the complete new one, never a torn image.
+TEST(ScolStreamWriterTest, CrashAtEveryWriteStageLeavesOldOrNewImage) {
+  const std::string dir = temp_path("spider_scol_streamw_crash");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = dir + "/week.scol";
+  const ScolOptions options = small_groups();
+  const SnapshotTable new_table = make_table(700, 14);
+  const std::vector<std::uint8_t> old_image =
+      encode_scol(make_table(300, 15), options);
+  const std::vector<std::uint8_t> new_image = encode_scol(new_table, options);
+
+  const auto stream_new_image = [&] {
+    ScolStreamWriter writer;
+    Status s = writer.open(path, options);
+    for (std::size_t i = 0; s.ok() && i < new_table.size(); ++i) {
+      s = writer.add(new_table.row(i));
+    }
+    return s.ok() ? writer.finish() : s;
+  };
+
+  std::size_t stages = 0;
+  {
+    WriteFaultInjector probe(/*seed=*/1);  // records stages, never kills
+    InterceptorScope scope(&probe);
+    ASSERT_TRUE(stream_new_image().ok());
+    const auto log = probe.log();
+    stages = log.size();
+    ASSERT_EQ(stages, 6u);
+    EXPECT_EQ(log[0].op, WriteOp::kOpen);
+    EXPECT_EQ(log[1].op, WriteOp::kWrite);  // header + directory
+    EXPECT_EQ(log[2].op, WriteOp::kWrite);  // spooled group payloads
+    EXPECT_EQ(log[3].op, WriteOp::kSyncFile);
+    EXPECT_EQ(log[4].op, WriteOp::kRename);
+    EXPECT_EQ(log[5].op, WriteOp::kSyncDir);
+    for (const auto& record : log) EXPECT_EQ(record.path, path);
+  }
+
+  for (std::size_t kill = 0; kill < stages; ++kill) {
+    ASSERT_TRUE(
+        write_file_atomic(path, std::span<const std::uint8_t>(old_image))
+            .ok());
+    WriteFaultInjector injector(/*seed=*/100 + kill, kill);
+    Status s;
+    {
+      InterceptorScope scope(&injector);
+      s = stream_new_image();
+    }
+    EXPECT_TRUE(injector.killed()) << "kill=" << kill;
+    EXPECT_FALSE(s.ok()) << "kill=" << kill;
+    std::vector<std::uint8_t> after;
+    ASSERT_TRUE(read_file(path, &after).ok()) << "kill=" << kill;
+    EXPECT_TRUE(after == old_image || after == new_image)
+        << "kill=" << kill << " left a torn image of " << after.size()
+        << " bytes";
+    // Stages before the rename can never expose the new image; the
+    // directory fsync runs after it landed.
+    if (kill < 4) {
+      EXPECT_EQ(after, old_image) << "kill=" << kill;
+    }
+    if (kill == 5) {
+      EXPECT_EQ(after, new_image);
+    }
+  }
+  // Crash mode deliberately leaves torn temp files behind (a dead process
+  // runs no destructors); clean the whole directory.
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -112,6 +112,24 @@ TEST(ScolV2Test, V1ImagesStillDecode) {
   expect_tables_equal(original, decoded);
 }
 
+// The report counts the image's rows, not the destination's: decoding a
+// v1 image into a table that already holds rows must not add those rows
+// to rows_total / rows_recovered.
+TEST(ScolV2Test, V1ReportCountsOnlyTheImagesRows) {
+  const SnapshotTable original = make_table(300);
+  ScolOptions v1;
+  v1.format_version = 1;
+  const auto image = encode_scol(original, v1);
+  SnapshotTable out = make_table(5, /*seed=*/99);
+  SalvageReport report;
+  ASSERT_TRUE(decode_scol(image, &out, ScolOptions{}, &report).ok());
+  EXPECT_EQ(out.size(), 305u);
+  EXPECT_EQ(report.groups_total, 1u);
+  EXPECT_EQ(report.rows_total, 300u);
+  EXPECT_EQ(report.rows_recovered, 300u);
+  EXPECT_TRUE(report.clean());
+}
+
 TEST(ScolV2Test, V1AndV2EncodeIdenticalTables) {
   const SnapshotTable original = make_table(3 * kGroup + 7);
   ScolOptions v1;

@@ -3,7 +3,7 @@
 // analyzer renders — must be byte-identical to the 1-thread reference at
 // every thread count and with the decode prefetch on or off, including on
 // gapped and fault-damaged series. Two oracles back the production paths:
-// the standalone diff join checks the fused diff kernel week by week, and
+// the sort-merge diff oracle checks the fused diff kernel week by week, and
 // a naive std::unordered_map recomputation checks the flat aggregation
 // layer's census and extension counts.
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "../engine/diff_oracle.h"
 #include "engine/diff.h"
 #include "snapshot/record.h"
 #include "snapshot/scol.h"
@@ -125,11 +126,12 @@ TEST_F(ScanDeterminismTest, BundleIdenticalAcrossThreadCounts) {
   }
 }
 
-/// Checks every week's runner-delivered diff against the standalone
-/// diff_snapshots join, recomputed here from obs.prev and obs.snap: the
-/// fused kernel — and on delta weeks its prev-row mapping and directory
-/// diff — must equal the reference join list for list. Runs in merge(),
-/// after the fused kernel finalized the week.
+/// Checks every week's runner-delivered diff against the sort-merge
+/// oracle (tests/engine/diff_oracle.h, which shares no code with the fused
+/// kernel), recomputed here from obs.prev and obs.snap: the fused kernel —
+/// and on delta weeks its prev-row mapping and directory diff — must equal
+/// the oracle list for list. Runs in merge(), after the fused kernel
+/// finalized the week.
 class DiffRecorder : public StudyAnalyzer {
  public:
   bool wants_diff() const override { return true; }
@@ -144,8 +146,8 @@ class DiffRecorder : public StudyAnalyzer {
     DiffOptions options;
     options.prev_rows = got.has_prev_rows;
     options.dirs = got.has_dir_diff;
-    const DiffResult want = diff_snapshots(obs.prev->table, obs.snap->table,
-                                           &serial_, nullptr, options);
+    const DiffResult want =
+        diff_snapshots_sortmerge(obs.prev->table, obs.snap->table, options);
     const auto check = [&](const char* field, const auto& a, const auto& b) {
       if (a != b) mismatches.push_back(week + ": " + field);
     };
@@ -173,12 +175,9 @@ class DiffRecorder : public StudyAnalyzer {
   std::vector<std::string> mismatches;
   std::size_t diffed_weeks = 0;
   std::size_t delta_weeks = 0;
-
- private:
-  ThreadPool serial_{1};
 };
 
-TEST_F(ScanDeterminismTest, FusedDiffMatchesStandaloneDiffEveryWeek) {
+TEST_F(ScanDeterminismTest, FusedDiffMatchesSortMergeOracleEveryWeek) {
   for (const bool incremental : {false, true}) {
     for (const unsigned threads : {1u, 2u, 7u}) {
       for (const bool prefetch : {false, true}) {
