@@ -30,10 +30,20 @@
 int main(int argc, char** argv) {
   using namespace spider;
   const CliArgs args(argc, argv);
+  constexpr const char* kUsage =
+      "usage: analyze_series --dir=<snapshot directory> [--report=all] "
+      "[--min-burst-files=10] [--salvage=skip|quarantine] [--incremental] "
+      "[--checkpoint=<path>] [--retry=<n>]\n";
+  const std::vector<std::string> unknown =
+      args.unknown({"dir", "report", "min-burst-files", "salvage",
+                    "incremental", "checkpoint", "retry"});
+  if (!unknown.empty()) {
+    std::cerr << "unknown flag: --" << unknown.front() << "\n" << kUsage;
+    return 2;
+  }
   const std::string dir = args.get("dir", "");
   if (dir.empty()) {
-    std::cerr << "usage: analyze_series --dir=<snapshot directory> "
-                 "[--report=all] [--min-burst-files=10]\n";
+    std::cerr << kUsage;
     return 1;
   }
 

@@ -509,11 +509,19 @@ int cmd_checkpoint(const CliArgs& args) {
 
 int main(int argc, char** argv) {
   const spider::CliArgs args(argc, argv);
+  constexpr const char* kUsage =
+      "usage: snapshot_tool "
+      "<generate|convert|inspect|stat|purgelist|verify|checkpoint|diff> "
+      "[flags]\n";
+  const std::vector<std::string> unknown =
+      args.unknown({"dir", "scale", "weeks", "seed", "in", "out", "age",
+                    "exempt", "now", "salvage", "max-bad-lines"});
+  if (!unknown.empty()) {
+    std::cerr << "unknown flag: --" << unknown.front() << "\n" << kUsage;
+    return 2;
+  }
   if (args.positional().empty()) {
-    std::cerr
-        << "usage: snapshot_tool "
-           "<generate|convert|inspect|stat|purgelist|verify|checkpoint|diff> "
-           "[flags]\n";
+    std::cerr << kUsage;
     return 1;
   }
   const std::string& command = args.positional()[0];

@@ -1,6 +1,6 @@
 # Smoke pipeline: generate -> inspect -> convert both ways -> purgelist ->
 # analyze_series over the generated directory. Any nonzero exit fails the
-# test.
+# test, except the unknown-flag probes, which must exit 2.
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 
@@ -8,6 +8,15 @@ function(run)
   execute_process(COMMAND ${ARGV} RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "command failed (${rc}): ${ARGV}")
+  endif()
+endfunction()
+
+# A misspelled flag is a usage error (exit 2), not silently ignored.
+function(run_usage_error)
+  execute_process(COMMAND ${ARGV} RESULT_VARIABLE rc OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag")
+    message(FATAL_ERROR "expected a usage error (${rc}: ${err}): ${ARGV}")
   endif()
 endfunction()
 
@@ -28,8 +37,10 @@ list(LENGTH snaps count)
 if(count GREATER 1)
   list(GET snaps 1 second)
   run(${TOOL} diff ${first} ${second})
+  run_usage_error(${TOOL} diff ${first} ${second} --stratgy=bogus)
 endif()
 run(${ANALYZE} --dir=${WORKDIR}/series --report=census)
+run_usage_error(${ANALYZE} --dir=${WORKDIR}/series --reprot=census)
 
 # Checkpointed run, then offline checkpoint inspection (OK sections,
 # exit 0). FullStudy never resumes (scan-only analyzers record

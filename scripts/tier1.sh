@@ -7,8 +7,10 @@
 #
 # The sanitizer passes are scoped rather than suite-wide to keep the gate
 # fast: ASan+UBSan covers the ingest/robustness and aggregation tests
-# (the eager decode and the stream writer included), the diff join
-# against its oracle and the analyzer-roster sweep, TSan covers the parallel
+# (the eager decode and the stream writer included), the table, path and
+# arena tests (the decoder appends arena views it hands over afterwards),
+# facility inference, the diff join against its oracle and the
+# analyzer-roster sweep, TSan covers the parallel
 # scan/runner/aggregation-merge tests. SPIDER_SANITIZE=ON (address) or
 # SPIDER_SANITIZE=thread works on any target if a full sanitized run is
 # wanted.
@@ -46,13 +48,16 @@ cmake --build build-asan -j"${JOBS}" --target \
     util_io_test util_retry_test util_status_test engine_agg_test \
     engine_flat_map_test engine_spill_test study_streaming_test \
     study_checkpoint_test study_analyzer_roster_test \
-    snapshot_scol_stream_test engine_diff_parity_test
+    snapshot_scol_stream_test engine_diff_parity_test \
+    snapshot_table_test snapshot_record_test synth_infer_test util_misc_test
 for t in snapshot_fault_injection_test snapshot_scol_test \
          snapshot_scol_v2_test snapshot_psv_test snapshot_psv_fuzz_test \
          snapshot_series_test util_io_test util_retry_test \
          util_status_test engine_agg_test engine_flat_map_test \
          engine_spill_test study_analyzer_roster_test \
-         snapshot_scol_stream_test engine_diff_parity_test; do
+         snapshot_scol_stream_test engine_diff_parity_test \
+         snapshot_table_test snapshot_record_test synth_infer_test \
+         util_misc_test; do
   echo "--> ${t} (sanitized)"
   ./build-asan/tests/"${t}"
 done

@@ -31,14 +31,6 @@
 
 namespace spider {
 
-struct IdentityKeyMix {
-  static constexpr std::uint64_t mix(std::uint64_t key) { return key; }
-};
-
-struct FingerprintKeyMix {
-  static constexpr std::uint64_t mix(std::uint64_t key) { return mix64(key); }
-};
-
 /// Growable open-addressing linear-probe map from 64-bit keys to V.
 /// Key 0 is reserved as the empty-slot marker and handled out of line, so
 /// the full key space is usable. Load factor is kept at or below 1/2.

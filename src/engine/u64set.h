@@ -1,21 +1,26 @@
 // U64Set: a growable open-addressing set of 64-bit keys, used to count
 // distinct paths across the whole 72-week series (Fig 7/8's "unique files
 // and directories" census: ~4 billion at full scale, millions at bench
-// scale). Keys are already well-mixed path hashes, so identity hashing with
-// linear probing is both fast and collision-safe at the study's scale
-// (expected false-merge count for 10M keys over a 64-bit space: ~3e-6).
+// scale). Path-hash keys are already well mixed, so U64Set selects slots
+// by identity with linear probing — fast and collision-safe at the study's
+// scale (expected false-merge count for 10M keys over a 64-bit space:
+// ~3e-6). Structured keys such as (user << 32) | project must use
+// U64SetRaw instead: `key & mask` would drop every user bit and put all
+// members of a project on one probe chain.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "util/hash.h"
 #include "util/serialize.h"
 
 namespace spider {
 
-class U64Set {
+template <typename KeyMix = IdentityKeyMix>
+class BasicU64Set {
  public:
-  explicit U64Set(std::size_t expected = 16) {
+  explicit BasicU64Set(std::size_t expected = 16) {
     std::size_t capacity = 16;
     while (capacity < expected * 2) capacity <<= 1;
     slots_.assign(capacity, kEmpty);
@@ -31,7 +36,7 @@ class U64Set {
       has_empty_key_ = true;
       return fresh;
     }
-    std::uint64_t slot = key & mask_;
+    std::uint64_t slot = KeyMix::mix(key) & mask_;
     for (;;) {
       if (slots_[slot] == kEmpty) break;
       if (slots_[slot] == key) return false;
@@ -49,7 +54,7 @@ class U64Set {
 
   bool contains(std::uint64_t key) const {
     if (key == kEmpty) return has_empty_key_;
-    std::uint64_t slot = key & mask_;
+    std::uint64_t slot = KeyMix::mix(key) & mask_;
     for (;;) {
       if (slots_[slot] == kEmpty) return false;
       if (slots_[slot] == key) return true;
@@ -87,7 +92,7 @@ class U64Set {
 
   /// Probes for the empty slot of a key known to be absent and claims it.
   std::uint64_t place(std::uint64_t key) {
-    std::uint64_t slot = key & mask_;
+    std::uint64_t slot = KeyMix::mix(key) & mask_;
     while (slots_[slot] != kEmpty) slot = (slot + 1) & mask_;
     slots_[slot] = key;
     return slot;
@@ -108,5 +113,10 @@ class U64Set {
   std::size_t size_ = 0;
   bool has_empty_key_ = false;
 };
+
+/// Set of already-mixed keys (path hashes).
+using U64Set = BasicU64Set<IdentityKeyMix>;
+/// Set of raw or packed ids; slots come from mix64(key).
+using U64SetRaw = BasicU64Set<FingerprintKeyMix>;
 
 }  // namespace spider

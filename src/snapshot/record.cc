@@ -2,18 +2,18 @@
 
 namespace spider {
 
-std::size_t path_depth(std::string_view path) {
-  std::size_t depth = 0;
-  bool in_component = false;
-  for (char c : path) {
-    if (c == '/') {
-      in_component = false;
-    } else if (!in_component) {
-      in_component = true;
-      ++depth;
-    }
+std::size_t path_component_starts(std::string_view path, std::size_t from) {
+  const auto* p = reinterpret_cast<const unsigned char*>(path.data());
+  const std::size_t n = path.size();
+  std::size_t starts = 0;
+  std::size_t i = from;
+  if (i == 0) {
+    if (n == 0) return 0;
+    starts = p[0] != '/';
+    i = 1;
   }
-  return depth;
+  for (; i < n; ++i) starts += (p[i] != '/') & (p[i - 1] == '/');
+  return starts;
 }
 
 std::string_view path_component(std::string_view path, std::size_t idx) {

@@ -52,9 +52,19 @@ struct RawRecord {
   bool is_dir() const { return mode_is_dir(mode); }
 };
 
+/// Number of components of `path` that begin at or after byte `from`: the
+/// non-'/' bytes whose predecessor is '/' (or that open the path). A
+/// component's start depends only on its own byte and the one before it,
+/// so a front-coded decoder derives a path's depth from its predecessor's
+/// by subtracting the starts in the dropped tail and adding those in the
+/// new suffix. Branch-free over bytes, so the loop vectorizes.
+std::size_t path_component_starts(std::string_view path, std::size_t from);
+
 /// Number of '/'-separated components ("/a/b/c" -> 3). Trailing slashes and
 /// repeated slashes are ignored. The root path "/" has depth 0.
-std::size_t path_depth(std::string_view path);
+inline std::size_t path_depth(std::string_view path) {
+  return path_component_starts(path, 0);
+}
 
 /// The idx-th (0-based) '/'-separated component, or empty if out of range.
 std::string_view path_component(std::string_view path, std::size_t idx);

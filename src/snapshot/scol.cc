@@ -229,17 +229,28 @@ struct ColumnBlock {
   std::span<const std::uint8_t> payload;
 };
 
+/// Decodes the path column straight into `arena`: each row costs one
+/// intern_concat of prev's kept prefix and the stored suffix, and `prev`
+/// is a view of the previous stored row, so no path is copied twice. Depth
+/// follows from prev's depth and the changed bytes only (see
+/// path_component_starts): the starts in prev's dropped tail come off,
+/// the starts in the new suffix go on, and the byte at shared - 1 is the
+/// one both share.
 Status decode_paths(const ColumnBlock& block, std::size_t rows,
-                    std::vector<std::string>* out) {
+                    StringArena* arena, std::vector<std::string_view>* paths,
+                    std::vector<std::size_t>* depths) {
   // Every row costs at least one payload byte; rejecting implausible row
   // counts up front keeps a corrupted header from driving a huge reserve.
   if (rows > block.payload.size()) {
     return Status::corruption("paths: row count exceeds payload");
   }
-  out->clear();
-  out->reserve(rows);
+  paths->clear();
+  depths->clear();
+  paths->reserve(rows);
+  depths->reserve(rows);
   std::size_t pos = 0;
-  std::string prev;
+  std::string_view prev;
+  std::size_t depth = 0;
   for (std::size_t i = 0; i < rows; ++i) {
     std::uint64_t shared = 0, len = 0;
     if (block.enc == kEncFrontCoded) {
@@ -256,12 +267,17 @@ Status decode_paths(const ColumnBlock& block, std::size_t rows,
     if (len > block.payload.size() - pos) {
       return Status::truncated("paths: truncated suffix bytes");
     }
-    std::string path = prev.substr(0, shared);
-    path.append(reinterpret_cast<const char*>(block.payload.data() + pos),
-                len);
+    const std::string_view path = arena->intern_concat(
+        prev.substr(0, shared),
+        std::string_view(reinterpret_cast<const char*>(block.payload.data() +
+                                                       pos),
+                         len));
     pos += len;
+    depth = shared == 0 ? 0 : depth - path_component_starts(prev, shared);
+    depth += path_component_starts(path, shared);
     prev = path;
-    out->push_back(std::move(path));
+    paths->push_back(path);
+    depths->push_back(depth);
   }
   return Status();
 }
@@ -442,13 +458,16 @@ Status decode_column_set(std::span<const std::uint8_t> bytes, std::size_t pos,
   // the modify time as well).
   if (columns & (kColMaskAtime | kColMaskCtime)) columns |= kColMaskMtime;
 
-  std::vector<std::string> paths;
+  StringArena arena;
+  std::vector<std::string_view> paths;
+  std::vector<std::size_t> depths;
   std::vector<std::int64_t> atime, ctime, mtime;
   std::vector<std::uint32_t> uid, gid, mode, ost_offsets, ost_values;
   std::vector<std::uint64_t> inode;
   Status s;
   if ((columns & kColMaskPaths) &&
-      !(s = decode_paths(blocks[kColPaths], rows, &paths)).ok()) {
+      !(s = decode_paths(blocks[kColPaths], rows, &arena, &paths, &depths))
+           .ok()) {
     return s;
   }
   if ((columns & kColMaskMtime) &&
@@ -492,12 +511,14 @@ Status decode_column_set(std::span<const std::uint8_t> bytes, std::size_t pos,
             ? std::span<const std::uint32_t>()
             : std::span<const std::uint32_t>(ost_values)
                   .subspan(ost_offsets[i], ost_offsets[i + 1] - ost_offsets[i]);
-    table->add(paths.empty() ? std::string_view() : std::string_view(paths[i]),
-               atime.empty() ? 0 : atime[i], ctime.empty() ? 0 : ctime[i],
-               mtime.empty() ? 0 : mtime[i], uid.empty() ? 0 : uid[i],
-               gid.empty() ? 0 : gid[i], mode.empty() ? 0 : mode[i],
-               inode.empty() ? 0 : inode[i], osts);
+    table->add_stored(
+        paths.empty() ? std::string_view() : paths[i],
+        depths.empty() ? 0 : depths[i], atime.empty() ? 0 : atime[i],
+        ctime.empty() ? 0 : ctime[i], mtime.empty() ? 0 : mtime[i],
+        uid.empty() ? 0 : uid[i], gid.empty() ? 0 : gid[i],
+        mode.empty() ? 0 : mode[i], inode.empty() ? 0 : inode[i], osts);
   }
+  table->adopt_paths(std::move(arena));
   return Status();
 }
 

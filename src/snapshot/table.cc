@@ -19,18 +19,16 @@ void SnapshotTable::reserve(std::size_t rows) {
   ost_offsets_.reserve(rows + 1);
 }
 
-std::uint32_t SnapshotTable::add(std::string_view path, std::int64_t atime,
-                                 std::int64_t ctime, std::int64_t mtime,
-                                 std::uint32_t uid, std::uint32_t gid,
-                                 std::uint32_t mode, std::uint64_t inode,
-                                 std::span<const std::uint32_t> osts) {
+std::uint32_t SnapshotTable::add_stored(
+    std::string_view stored, std::size_t depth, std::int64_t atime,
+    std::int64_t ctime, std::int64_t mtime, std::uint32_t uid,
+    std::uint32_t gid, std::uint32_t mode, std::uint64_t inode,
+    std::span<const std::uint32_t> osts) {
   const std::uint32_t row = static_cast<std::uint32_t>(size());
-  const std::string_view stored = arena_.intern(path);
   paths_.push_back(stored);
   path_hash_.push_back(hash_bytes(stored));
   depth_.push_back(static_cast<std::uint16_t>(
-      std::min<std::size_t>(path_depth(stored),
-                            std::numeric_limits<std::uint16_t>::max())));
+      std::min<std::size_t>(depth, std::numeric_limits<std::uint16_t>::max())));
   atime_.push_back(atime);
   ctime_.push_back(ctime);
   mtime_.push_back(mtime);

@@ -58,7 +58,26 @@ class SnapshotTable {
   std::uint32_t add(std::string_view path, std::int64_t atime,
                     std::int64_t ctime, std::int64_t mtime, std::uint32_t uid,
                     std::uint32_t gid, std::uint32_t mode, std::uint64_t inode,
-                    std::span<const std::uint32_t> osts);
+                    std::span<const std::uint32_t> osts) {
+    return add_stored(arena_.intern(path), path_depth(path), atime, ctime,
+                      mtime, uid, gid, mode, inode, osts);
+  }
+
+  /// The decoder's append: `stored` is already a view into an arena the
+  /// caller hands over with adopt_paths() once its whole batch of rows has
+  /// decoded, and `depth` is path_depth(stored), derived by the caller.
+  /// Only the hash is computed here. A batch that fails before adoption
+  /// never reaches this table, so a failed decode leaves it untouched.
+  std::uint32_t add_stored(std::string_view stored, std::size_t depth,
+                           std::int64_t atime, std::int64_t ctime,
+                           std::int64_t mtime, std::uint32_t uid,
+                           std::uint32_t gid, std::uint32_t mode,
+                           std::uint64_t inode,
+                           std::span<const std::uint32_t> osts);
+
+  /// Takes ownership of the arena behind add_stored() rows. Blocks move
+  /// wholesale, so every view already appended stays valid.
+  void adopt_paths(StringArena&& arena) { arena_.absorb(std::move(arena)); }
 
   /// Splices every row of `other` onto the end of this table, preserving
   /// order, and leaves `other` empty. Arena blocks move wholesale (no string

@@ -19,7 +19,7 @@ namespace {
 /// order-dependent part — happens in merge().
 struct ParticipationChunk : ScanChunkState {
   std::vector<std::uint64_t> candidates;
-  U64Set local;
+  U64SetRaw local;
 };
 }  // namespace
 
@@ -82,7 +82,7 @@ bool ParticipationAnalyzer::save_state(StateWriter& w) const {
 }
 
 bool ParticipationAnalyzer::load_state(StateReader& r) {
-  U64Set pairs;
+  U64SetRaw pairs;
   std::vector<MembershipEdge> observed;
   if (!pairs.load_state(r) || !r.vec(&observed)) return false;
   pairs_ = std::move(pairs);

@@ -52,6 +52,9 @@ class ParticipationAnalyzer : public StudyAnalyzer {
   void finish() override;
 
   std::string_view state_id() const override { return "participation"; }
+  /// 2: pairs_ selects slots by mix64(key). A version-1 slot image would
+  /// load cleanly and then miss every key, so it must re-baseline.
+  std::uint32_t state_version() const override { return 2; }
   bool save_state(StateWriter& w) const override;
   bool load_state(StateReader& r) override;
 
@@ -60,7 +63,7 @@ class ParticipationAnalyzer : public StudyAnalyzer {
 
  private:
   const Resolver& resolver_;
-  U64Set pairs_;
+  U64SetRaw pairs_;  // (user << 32) | project
   ParticipationResult result_;
 };
 

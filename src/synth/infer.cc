@@ -24,7 +24,7 @@ FacilityPlan infer_facility(SnapshotSource& source, InferenceStats* stats) {
   std::unordered_map<std::uint32_t, std::uint32_t> user_index;
   // Per-user entry counts per domain, to pick the primary domain.
   std::vector<std::unordered_map<int, std::uint64_t>> user_domain_counts;
-  U64Set membership_pairs;
+  U64SetRaw membership_pairs;  // (user << 32) | project
   std::size_t unmatched = 0;
 
   source.visit([&](std::size_t, const Snapshot& snap) {

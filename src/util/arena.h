@@ -74,6 +74,10 @@ class StringArena {
       // current block so the current block's spare capacity survives.
       auto block = std::make_unique<char[]>(n);
       char* ptr = block.get();
+      // With no block yet there is no spare capacity to keep: mark the
+      // (absent) current block full so the next small string opens a
+      // fresh block instead of writing over this one.
+      if (blocks_.empty()) used_in_block_ = block_size_;
       const std::size_t at = blocks_.empty() ? 0 : blocks_.size() - 1;
       blocks_.insert(blocks_.begin() + static_cast<std::ptrdiff_t>(at),
                      std::move(block));

@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace spider {
@@ -55,6 +56,17 @@ bool CliArgs::get_bool(const std::string& key, bool fallback) const {
   if (it == flags_.end()) return fallback;
   const std::string& v = it->second;
   return v == "true" || v == "1" || v == "yes" || v == "on";
+}
+
+std::vector<std::string> CliArgs::unknown(
+    std::initializer_list<std::string_view> known) const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : flags_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      out.push_back(key);
+    }
+  }
+  return out;
 }
 
 }  // namespace spider

@@ -20,6 +20,20 @@ constexpr std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+/// Slot-selection policies for the open-addressing tables (FlatMap,
+/// BasicU64Set), which take the low bits of KeyMix::mix(key).
+/// IdentityKeyMix is for keys that are already well mixed (path hashes,
+/// hash_bytes output); FingerprintKeyMix avalanches raw ids and packed
+/// pairs such as (user << 32) | project, whose low bits are dense or
+/// structured.
+struct IdentityKeyMix {
+  static constexpr std::uint64_t mix(std::uint64_t key) { return key; }
+};
+
+struct FingerprintKeyMix {
+  static constexpr std::uint64_t mix(std::uint64_t key) { return mix64(key); }
+};
+
 inline std::uint64_t load_u64(const char* p) {
   std::uint64_t v;
   std::memcpy(&v, p, sizeof(v));

@@ -56,6 +56,32 @@ TEST(U64SetTest, DuplicateStreamNeverGrows) {
   EXPECT_EQ(set.size(), 8u);
 }
 
+TEST(U64SetTest, RawSetHoldsPackedPairsAndRoundTrips) {
+  // (user << 32) | project keys: identical low bits for every member of a
+  // project, which is what the mixed slot selection is for.
+  U64SetRaw set(4);
+  std::set<std::uint64_t> reference;
+  for (std::uint64_t user = 0; user < 300; ++user) {
+    for (std::uint64_t project = 0; project < 5; ++project) {
+      const std::uint64_t key = (user << 32) | project;
+      EXPECT_TRUE(set.insert(key));
+      reference.insert(key);
+    }
+  }
+  EXPECT_FALSE(set.insert(7ull << 32 | 3));
+  EXPECT_FALSE(set.contains(7ull << 32 | 5));
+  EXPECT_EQ(set.size(), reference.size());
+
+  std::vector<std::uint8_t> image;
+  StateWriter w(&image);
+  set.save_state(w);
+  StateReader r(image);
+  U64SetRaw restored;
+  ASSERT_TRUE(restored.load_state(r));
+  EXPECT_EQ(restored.size(), reference.size());
+  for (const std::uint64_t key : reference) ASSERT_TRUE(restored.contains(key));
+}
+
 TEST(MergeCountsTest, AddsPerKey) {
   CountMap<std::string> a{{"x", 1}, {"y", 2}};
   const CountMap<std::string> b{{"y", 3}, {"z", 4}};

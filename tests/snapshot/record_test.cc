@@ -2,8 +2,73 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "util/prng.h"
+
 namespace spider {
 namespace {
+
+/// The branchy reference: one state transition per byte.
+std::size_t depth_oracle(std::string_view path) {
+  std::size_t depth = 0;
+  bool in_component = false;
+  for (char c : path) {
+    if (c == '/') {
+      in_component = false;
+    } else if (!in_component) {
+      in_component = true;
+      ++depth;
+    }
+  }
+  return depth;
+}
+
+/// Random paths over a tiny alphabet, so repeated, leading and trailing
+/// slashes are common.
+std::string random_path(Rng& rng, std::size_t max_len) {
+  static constexpr char kAlphabet[] = {'/', '/', '/', 'a', 'b', '.'};
+  std::string p(rng.uniform_u64(max_len + 1), '/');
+  for (char& c : p) c = kAlphabet[rng.uniform_u64(sizeof(kAlphabet))];
+  return p;
+}
+
+TEST(PathDepthTest, MatchesTheBranchyOracle) {
+  std::vector<std::string> paths = {"", "/", "//a//b/", "a", "a/", "/a",
+                                    "a//", "///", "/lustre/atlas2/p/u/f"};
+  std::string chain;
+  for (int i = 0; i < 2000; ++i) chain += "/d" + std::to_string(i);
+  paths.push_back(chain);
+  paths.push_back(chain + "/");
+  paths.push_back(chain.substr(1));
+  Rng rng(2017);
+  for (int i = 0; i < 2000; ++i) paths.push_back(random_path(rng, 40));
+  for (const std::string& p : paths) {
+    EXPECT_EQ(path_depth(p), depth_oracle(p)) << '"' << p << '"';
+  }
+  EXPECT_EQ(path_depth(chain), 2000u);
+}
+
+// The front-coded decoder's identity: for two paths sharing their first
+// `shared` bytes, depth(b) = depth(a) - starts(a, shared) + starts(b,
+// shared) — the prefix's starts are common to both.
+TEST(PathDepthTest, ComponentStartsSplitAtAnySharedPrefix) {
+  Rng rng(15);
+  for (int i = 0; i < 5000; ++i) {
+    const std::string a = random_path(rng, 24);
+    const std::size_t shared = rng.uniform_u64(a.size() + 1);
+    const std::string b = a.substr(0, shared) + random_path(rng, 12);
+    ASSERT_EQ(path_component_starts(a, 0), depth_oracle(a));
+    ASSERT_EQ(depth_oracle(b), depth_oracle(a) -
+                                   path_component_starts(a, shared) +
+                                   path_component_starts(b, shared))
+        << '"' << a << "\" -> \"" << b << "\" shared=" << shared;
+  }
+  EXPECT_EQ(path_component_starts("/a/b", 4), 0u);
+  EXPECT_EQ(path_component_starts("/a/b", 3), 1u);   // 'b' after '/'
+  EXPECT_EQ(path_component_starts("/ab", 2), 0u);    // mid-component
+}
 
 TEST(PathDepthTest, CountsComponents) {
   EXPECT_EQ(path_depth("/"), 0u);

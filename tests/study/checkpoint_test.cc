@@ -497,6 +497,35 @@ TEST(CheckpointResumeTest, VersionSkewRebaselines) {
   fs::remove(ckpt);
 }
 
+// Participation's pair set changed its slot layout (mix64 slot selection)
+// in state version 2. A version-1 blob would load cleanly and then miss
+// every key, so a checkpoint carrying one must re-baseline, not resume.
+TEST(CheckpointResumeTest, ParticipationVersionOneBlobRebaselines) {
+  const SeriesFixture& fx = fixture();
+  const std::string ckpt = temp_ckpt("spider_ckpt_participation_v1.sckpt");
+  fs::remove(ckpt);
+  (void)run_delta(fx.dir.path(), *fx.resolver, 2, true, ckpt);
+  StudyCheckpoint saved;
+  ASSERT_TRUE(load_checkpoint(ckpt, &saved).ok());
+  AnalyzerCheckpoint* participation = nullptr;
+  for (AnalyzerCheckpoint& a : saved.analyzers) {
+    if (a.id == "participation") participation = &a;
+  }
+  ASSERT_NE(participation, nullptr);
+  EXPECT_EQ(participation->version, 2u);
+  participation->version = 1;
+  ASSERT_TRUE(save_checkpoint(ckpt, saved).ok());
+
+  const DeltaRun run = run_delta(fx.dir.path(), *fx.resolver, 2, true, ckpt);
+  EXPECT_FALSE(run.report.resumed);
+  EXPECT_NE(run.report.rebaseline_reason.find(
+                "'participation' state version skew: checkpoint v1"),
+            std::string::npos)
+      << run.report.rebaseline_reason;
+  EXPECT_EQ(run.bundle, fx.reference);
+  fs::remove(ckpt);
+}
+
 // A checkpoint from a different analyzer roster does not line up with the
 // running study; it must re-baseline with the reason naming the mismatch.
 TEST(CheckpointResumeTest, RosterMismatchRebaselines) {

@@ -41,6 +41,26 @@ TEST(StringArenaTest, OversizedStringsGetDedicatedBlocks) {
   EXPECT_EQ(a, "aa");
   EXPECT_EQ(b, std::string(500, 'y'));
   EXPECT_EQ(c, "cc");
+  // ...and the first oversized string survives the small ones after it.
+  EXPECT_EQ(v, big);
+  EXPECT_EQ(arena.bytes_used(), 1000u + 2 + 500 + 2);
+}
+
+TEST(StringArenaTest, AbsorbKeepsEveryViewValid) {
+  // An arena whose only block is a dedicated oversized one, absorbed into
+  // another: later small strings must land in a fresh block in both.
+  StringArena src(16);
+  const std::string big(100, 'b');
+  const std::string_view v = src.intern(big);
+  StringArena dst(16);
+  const std::string_view d = dst.intern("dd");
+  dst.absorb(std::move(src));
+  EXPECT_EQ(src.bytes_used(), 0u);
+  const std::string_view e = dst.intern("eeee");
+  EXPECT_EQ(v, big);
+  EXPECT_EQ(d, "dd");
+  EXPECT_EQ(e, "eeee");
+  EXPECT_EQ(dst.bytes_used(), 100u + 2 + 4);
 }
 
 TEST(StringArenaTest, EmptyAndConcat) {
@@ -157,6 +177,18 @@ TEST(CliTest, ParsesAllFlagForms) {
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "pos1");
   EXPECT_EQ(args.program(), "prog");
+}
+
+TEST(CliTest, UnknownListsFlagsOutsideTheKnownSet) {
+  const char* argv[] = {"prog", "diff", "--in=a", "--stratgy=bogus",
+                        "--verbose"};
+  CliArgs args(5, argv);
+  EXPECT_EQ(args.unknown({"in", "verbose"}),
+            std::vector<std::string>{"stratgy"});
+  EXPECT_EQ(args.unknown({"in"}),
+            (std::vector<std::string>{"stratgy", "verbose"}));
+  EXPECT_TRUE(args.unknown({"in", "stratgy", "verbose", "out"}).empty());
+  EXPECT_TRUE(CliArgs(1, argv).unknown({}).empty());
 }
 
 TEST(CliTest, BoolValueSpellings) {
